@@ -70,14 +70,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 2
     results = run_sweep(cfg, jobs=args.jobs)
     write_reports(args.out, cfg, results)
-    nonconverged = sum(l.fg_nonconverged for l in results.values())
     print(f"wrote {args.out}/results.csv and summary.json "
           f"({len(results)} runs)")
-    if nonconverged:
-        print(f"warning: {nonconverged} forwarding-game equilibria did not converge",
-              file=sys.stderr)
-        if args.strict:
-            return 1
     return 0
 
 
@@ -97,8 +91,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("config", help="scenario YAML path or preset name")
     p_run.add_argument("--seeds", help="comma-separated seed override")
     p_run.add_argument("--out", default="out", help="report output directory")
-    p_run.add_argument("--strict", action="store_true",
-                       help="non-zero exit on any non-convergence flag")
     p_run.add_argument("--jobs", type=int, default=1,
                        help="parallel runs (results are order-independent)")
     p_run.set_defaults(func=cmd_run)

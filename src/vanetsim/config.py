@@ -132,7 +132,6 @@ class ScenarioConfig:
         errors += [f"game: {e}" for e in self.game.validate()]
         errors += [f"timers: {e}" for e in self.timers.validate()]
         errors += [f"ctd: {e}" for e in self.ctd.validate()]
-        from .dissemination import DEFAULT_ALPHA1, DEFAULT_ALPHA2
         if abs(self.alpha1 + self.alpha2 - 10.0) > 1e-9:
             errors.append("alpha1 + alpha2 must equal 10")
         if self.rings != sorted(self.rings) or any(r <= 0 for r in self.rings):

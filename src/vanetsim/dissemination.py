@@ -4,7 +4,7 @@ retransmission timer schemes, store-carry-forward, and baseline relays."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -31,17 +31,12 @@ class UtilityInputs:
 
 @dataclass
 class GameConfig:
-    mechanism: str = "volunteer-dilemma"  # or "forwarding-game"
     cost_k: float = 1.0
     fg_benefit: float = 2.0
     fg_cost: float = 1.0
-    fg_tol: float = 1e-6
-    fg_max_iters: int = 100
 
     def validate(self) -> list[str]:
         errors = []
-        if self.mechanism not in ("volunteer-dilemma", "forwarding-game"):
-            errors.append(f"unknown game mechanism {self.mechanism!r}")
         if self.cost_k <= 0:
             errors.append("game.cost_k must be positive")
         if not self.fg_cost < self.fg_benefit:
@@ -71,16 +66,9 @@ class TimerConfig:
 @dataclass
 class DisseminationState:
     """Per-node, per-message bookkeeping."""
-    first_heard: float
-    times_heard: int = 1
-    last_sender_distance: float = 0.0
-    scf_buffered: bool = False
     forwarded: bool = False
-    timer_handle: object = None
-    neighbors_at_receipt: frozenset = frozenset()
     last_relay_intersection: Optional[int] = None
     stored_msg: object = None
-    timer_started: float = 0.0
     last_tx: float = 0.0
 
 
@@ -131,54 +119,44 @@ def availability(d_sr: float, r_max: float, abe_norm: float) -> float:
     return 0.5 * (d_sr / r_max) + 0.5 * abe_norm
 
 
-def forwarding_game_equilibrium(avails: list[float],
-                                cfg: GameConfig) -> tuple[list[float], bool]:
-    """Mixed-strategy fixed point of the forwarding game.
+def forwarding_game_equilibrium(avails: list[float], cfg: GameConfig) -> list[float]:
+    """Exact mixed equilibrium of the forwarding game, an asymmetric
+    volunteer's dilemma (Diekmann 1993).
 
-    Each player i with benefit*a_i > cost mixes so the others are indifferent:
-    q_{-i} = 1 - cost/(benefit*a_i) where q_{-i} is the probability at least
-    one other player forwards.  Damped iteration from p_i = 0.5; returns
-    (probabilities, converged).
+    Player i gains benefit*a_i if anyone forwards and pays cost if it does;
+    it is active when benefit*a_i > cost.  With c_i = ln(benefit*a_i/cost)
+    and x_i = -ln(1 - p_i), a mixing player is indifferent exactly when the
+    others' x sum to c_i.  Selection rule: the largest-support mixed
+    equilibrium over the strongest players.  Sort the active players by a_i,
+    highest first (ties keep input order), and take the k strongest with k
+    the largest value >= 2 such that sum_{j<=k} c_(j) > (k-1)*c_(1).  With
+    X = sum_{j<=k} c_(j)/(k-1) they play p_i = 1 - exp(-(X - c_i)); every
+    other player plays 0.  Each excluded player has c_i <= c_(1) < X, so it
+    does not want to forward.  A lone active player forwards surely.
     """
-    n = len(avails)
-    if n < 1:
+    if not avails:
         raise ValueError("need at least one player")
     b, c = cfg.fg_benefit, cfg.fg_cost
-    a = np.asarray(avails, dtype=float)
-    active = b * a > c
-    p = np.where(active, 0.5, 0.0)
-    q_star = np.where(active, 1.0 - c / np.maximum(b * a, c), 0.0)
-    converged = False
-    for _ in range(cfg.fg_max_iters):
-        # q_minus[i] = 1 - prod_{j != i} (1 - p_j); split the total product
-        # per player, recomputing exactly where a factor is zero
-        one_minus = 1.0 - p
-        zeros = np.flatnonzero(one_minus == 0.0)
-        if zeros.size == 0:
-            prod_minus = np.prod(one_minus) / one_minus
-        elif zeros.size == 1:
-            prod_minus = np.zeros(n)
-            mask = np.ones(n, dtype=bool)
-            mask[zeros[0]] = False
-            prod_minus[zeros[0]] = np.prod(one_minus[mask])
-        else:
-            prod_minus = np.zeros(n)
-        new_p = np.clip(p + 0.5 * (q_star - (1.0 - prod_minus)), 0.0, 1.0)
-        new_p = np.where(active, new_p, 0.0)
-        # once a single player saturates at 1, every other player sees
-        # q_{-i} = 1 >= q*_i, so the iteration glides them monotonically to 0;
-        # jump straight to that fixed point instead of creeping there
-        ones = np.flatnonzero(new_p == 1.0)
-        if ones.size == 1:
-            limit = np.zeros(n)
-            limit[ones[0]] = 1.0
-            return limit.tolist(), True
-        max_change = float(np.max(np.abs(new_p - p))) if n else 0.0
-        p = new_p
-        if max_change < cfg.fg_tol:
-            converged = True
+    probs = [0.0] * len(avails)
+    order = sorted((i for i, a in enumerate(avails) if b * a > c),
+                   key=avails.__getitem__, reverse=True)
+    if len(order) == 1:
+        probs[order[0]] = 1.0
+    if len(order) < 2:
+        return probs
+    gains = [math.log(b * avails[i] / c) for i in order]
+    # sum_{j<=k} c_(j) - (k-1)*c_(1) only shrinks as k grows: stop at the
+    # first player whose inclusion breaks the condition
+    total, k = gains[0] + gains[1], 2
+    for g in gains[2:]:
+        if total + g <= k * gains[0]:
             break
-    return p.tolist(), converged
+        total += g
+        k += 1
+    x_sum = total / (k - 1)
+    for i, g in zip(order[:k], gains):
+        probs[i] = -math.expm1(g - x_sum)
+    return probs
 
 
 def retransmission_delay(scheme: str, v: float, v_max: float,
@@ -226,7 +204,6 @@ class ReceptionContext:
 class Decision:
     action: str                    # forward | suppress | store
     probability: float = 1.0
-    fg_converged: bool = True
 
 
 def decide_forward(protocol: str, ctx: ReceptionContext, game: GameConfig,
@@ -255,7 +232,6 @@ def decide_forward(protocol: str, ctx: ReceptionContext, game: GameConfig,
         return Decision("forward" if rng.random() < p else "suppress", p)
     if protocol == "add-fg":
         avails = ctx.candidate_avails or [availability(ctx.d_sr, ctx.r_max, ctx.abe_norm)]
-        probs, converged = forwarding_game_equilibrium(avails, game)
-        p = probs[0]  # receiver's own availability is listed first
-        return Decision("forward" if rng.random() < p else "suppress", p, converged)
+        p = forwarding_game_equilibrium(avails, game)[0]  # receiver is listed first
+        return Decision("forward" if rng.random() < p else "suppress", p)
     raise ValueError(f"no one-shot decision rule for protocol {protocol!r}")

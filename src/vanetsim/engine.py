@@ -201,8 +201,8 @@ class Run:
         return out
 
     def broadcast(self, sender: str, msg: Message, on_delivery) -> None:
-        """Send msg from sender now; on_delivery(receiver_id, msg, t) is called
-        for every successful reception."""
+        """Send msg from sender now; on_delivery(receiver_id, msg, t, sender_pos)
+        is called for every successful reception."""
         now = self.sim.now
         pos = self.positions.pos(sender, now)
         coords = self.positions.coords_at(now)
@@ -221,7 +221,7 @@ class Run:
                 node = self.nodes[receiver]
                 if node.mac_loss > 0 and self.channel.loss_rng.random() < node.mac_loss:
                     continue
-                on_delivery(receiver, msg, tx.end)
+                on_delivery(receiver, msg, tx.end, tx.pos)
 
         self.sim.call_at(tx.end, resolve, kind="transmit-end")
 
@@ -282,7 +282,6 @@ class Run:
         if self.sim.now > stored.created + self.cfg.warning.lifetime:
             return
         state.forwarded = True
-        state.scf_buffered = False
         self.forward_warning(node.id, stored)
 
     def start_beacons(self, ids: Optional[list[str]] = None, atb: bool = False,
@@ -301,7 +300,7 @@ class Run:
             self.on_beacon_tick(node, now)
             msg = self.make_hello(node, now)
             self.broadcast(nid, msg,
-                           lambda r, m, t: self.on_hello(r, m, t, nid))
+                           lambda r, m, t, _pos: self.on_hello(r, m, t, nid))
             if atb:
                 nxt = atb_interval(self.busy(nid), i_min, i_max)
             else:
@@ -353,7 +352,6 @@ class DisseminationRun(Run):
         self.vehicle_ids = sorted(n for n, node in self.nodes.items()
                                   if node.kind == "vehicle" and n != "origin")
         self.reached: set[str] = set()
-        self._last_sender_pos: dict[tuple[str, str], tuple[float, float]] = {}
 
     def execute(self) -> MetricsLedger:
         cfg = self.cfg
@@ -400,8 +398,7 @@ class DisseminationRun(Run):
             # the source is a message holder too: keep re-announcing under the
             # same timer scheme so an initially empty neighborhood is not fatal
             node = self.nodes["origin"]
-            state = dis.DisseminationState(first_heard=now)
-            state.stored_msg = msg
+            state = dis.DisseminationState(stored_msg=msg)
             node.msg_state[msg.id] = state
             node.seen.add(msg.id)
             self._start_timer_relay(node, msg, now, state)
@@ -410,15 +407,13 @@ class DisseminationRun(Run):
         copy = dataclasses.replace(msg, ttl=msg.ttl - 1, hops=msg.hops + 1)
         self.broadcast(sender, copy, self.on_warning)
 
-    def on_warning(self, receiver: str, msg: Message, t: float) -> None:
+    def on_warning(self, receiver: str, msg: Message, t: float,
+                   sender_pos: tuple[float, float]) -> None:
         node = self.nodes[receiver]
         if node.kind != "vehicle":
             return
-        state = node.msg_state.get(msg.id)
         if msg.id in node.seen:
             self.ledger.record_duplicate(t)
-            if state is not None:
-                state.times_heard += 1
             return
         node.seen.add(msg.id)
         self.reached.add(receiver)
@@ -433,15 +428,15 @@ class DisseminationRun(Run):
             ftype = msg.payload
             key = f"frames_{ftype}_delivered"
             self.ledger.extras[key] = self.ledger.extras.get(key, 0) + 1
-        state = dis.DisseminationState(first_heard=t)
-        state.stored_msg = msg
+        state = dis.DisseminationState(stored_msg=msg)
         node.msg_state[msg.id] = state
         if msg.ttl <= 0:
             return
-        self.dispatch(node, msg, t, state)
+        self.dispatch(node, msg, t, state, sender_pos)
 
     def dispatch(self, node: Node, msg: Message, t: float,
-                 state: dis.DisseminationState) -> None:
+                 state: dis.DisseminationState,
+                 sender_pos: tuple[float, float]) -> None:
         cfg = self.cfg
         protocol = self.protocol
         if protocol == "nsf":
@@ -455,11 +450,9 @@ class DisseminationRun(Run):
         if protocol == "timer-relay":
             self._start_timer_relay(node, msg, t, state)
             return
-        ctx = self.reception_context(node, msg, t)
+        ctx = self.reception_context(node, t, sender_pos)
         decision = dis.decide_forward(protocol, ctx, cfg.game, self.game_rng,
                                       alpha1=cfg.alpha1, alpha2=cfg.alpha2)
-        if not decision.fg_converged:
-            self.ledger.fg_nonconverged += 1
         if decision.action == "forward":
             state.forwarded = True
             delay = float(self.jitter_rng.uniform(0.0, cfg.jitter_max))
@@ -467,7 +460,6 @@ class DisseminationRun(Run):
                                 lambda e: self.forward_warning(node.id, msg),
                                 kind="transmit-start")
         elif decision.action == "store":
-            state.scf_buffered = True
             self.ledger.scf_stores += 1
             node.pending_scf.append(msg.id)
             self._schedule_scf_retry(node, msg)
@@ -515,7 +507,6 @@ class DisseminationRun(Run):
         cfg = self.cfg
         scheme = cfg.timers.scheme
         v_max = 14.0
-        state.timer_started = t
         state.last_tx = t
 
         def fire(_event: SimEvent) -> None:
@@ -553,13 +544,11 @@ class DisseminationRun(Run):
         delay += float(self.jitter_rng.uniform(0.0, cfg.jitter_max))
         self.sim.call_after(delay, fire, kind="timer-expiry")
 
-    def reception_context(self, node: Node, msg: Message, t: float) -> dis.ReceptionContext:
+    def reception_context(self, node: Node, t: float,
+                          sender_pos: tuple[float, float]) -> dis.ReceptionContext:
+        """d_sr is the distance to the hop sender's position at transmit start."""
         cfg = self.cfg
         pos = self.positions.pos(node.id, t)
-        # sender position at transmit start: use the message origin for frames
-        # relayed along; d_sr is the distance to the hop sender, recovered from
-        # the most recent transmission of this message that reached us
-        sender_pos = self._last_sender_pos.get((node.id, msg.id), msg.origin)
         d_sr = min(cfg.radio.r_max,
                    math.hypot(pos[0] - sender_pos[0], pos[1] - sender_pos[1]))
         iid, d_rint = self.graph.nearest_intersection(pos)
@@ -586,18 +575,6 @@ class DisseminationRun(Run):
             n_candidates=len(fresh_ex), at_intersection=d_rint <= 10.0,
             intersection_id=iid, neighbor_d_rint=neighbor_d_rint,
             abe_norm=abe_norm, candidate_avails=avails)
-
-    def broadcast(self, sender: str, msg: Message, on_delivery) -> None:
-        if msg.kind == "warning":
-            pos = self.positions.pos(sender, self.sim.now)
-
-            def wrapped(receiver, m, t):
-                self._last_sender_pos[(receiver, m.id)] = pos
-                on_delivery(receiver, m, t)
-
-            super().broadcast(sender, msg, wrapped)
-        else:
-            super().broadcast(sender, msg, on_delivery)
 
 
 # --- routing runs -----------------------------------------------------------
@@ -779,7 +756,7 @@ class CtdRun(Run):
         if self.protocol == "none-assessment":
             self.flood_alert(sender, alert)
         elif self.protocol == "ctd-passive":
-            self.broadcast_alert(sender, alert, passive=True)
+            self.broadcast_alert(sender, alert)
         elif self.protocol == "ctd-query":
             self.query_initiate(sender, alert)
 
@@ -790,7 +767,7 @@ class CtdRun(Run):
         msg = self._alert_msg(alert, "alert", ALERT_SIZE, self.sim.now)
         self.broadcast(sender, msg, self.on_flood_alert)
 
-    def on_flood_alert(self, receiver: str, msg: Message, t: float) -> None:
+    def on_flood_alert(self, receiver: str, msg: Message, t: float, _sender_pos) -> None:
         node = self.nodes[receiver]
         if msg.id in node.seen:
             self.ledger.record_duplicate(t)
@@ -807,7 +784,7 @@ class CtdRun(Run):
         msg = self._alert_msg(alert, "ctd-query", REPLY_SIZE, now)
         replies = {"confirm": 0, "total": 0}
 
-        def on_query(receiver: str, m: Message, t: float) -> None:
+        def on_query(receiver: str, m: Message, t: float, _sender_pos) -> None:
             node = self.nodes[receiver]
             key = ("replied", m.id)
             if key in node.seen:
@@ -824,7 +801,7 @@ class CtdRun(Run):
 
             self.sim.call_after(delay, send_reply, kind="transmit-start")
 
-        def on_reply(receiver: str, m: Message, t: float) -> None:
+        def on_reply(receiver: str, m: Message, t: float, _sender_pos) -> None:
             if receiver != m.dest:
                 return
             if t > now + self.cfg.ctd.reply_window:
@@ -843,11 +820,11 @@ class CtdRun(Run):
         self.broadcast(detector, msg, on_query)
         self.sim.call_after(self.cfg.ctd.reply_window, close_window, kind="timer-expiry")
 
-    def broadcast_alert(self, sender: str, alert: Alert, passive: bool) -> None:
+    def broadcast_alert(self, sender: str, alert: Alert) -> None:
         msg = self._alert_msg(alert, "alert", ALERT_SIZE, self.sim.now)
         self.broadcast(sender, msg, self.on_passive_alert)
 
-    def on_passive_alert(self, receiver: str, msg: Message, t: float) -> None:
+    def on_passive_alert(self, receiver: str, msg: Message, t: float, _sender_pos) -> None:
         node = self.nodes[receiver]
         alert: Alert = msg.payload
         if msg.id in node.seen:
@@ -865,7 +842,7 @@ class CtdRun(Run):
         if action == "rebroadcast":
             delay = float(self.jitter_rng.uniform(0.0, self.cfg.jitter_max))
             self.sim.call_after(delay,
-                                lambda e: self.broadcast_alert(receiver, alert, True),
+                                lambda e: self.broadcast_alert(receiver, alert),
                                 kind="transmit-start")
 
     def forward_warning(self, sender: str, msg: Message) -> None:

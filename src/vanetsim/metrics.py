@@ -31,7 +31,6 @@ class MetricsLedger:
     collisions: int = 0
     messages_by_kind: dict[str, int] = field(default_factory=dict)
     scf_stores: int = 0
-    fg_nonconverged: int = 0
     extras: dict[str, float] = field(default_factory=dict)
     _dup_total: int = 0
 

@@ -19,7 +19,6 @@ class RadioConfig:
     bitrate: float = 6e6          # bits/s
     per_link_loss: float = 0.05   # independent per-link loss probability
     obstacle_blocking: bool = False
-    slot: float = 1e-4            # airtime granularity, seconds
 
     def validate(self) -> list[str]:
         errors = []

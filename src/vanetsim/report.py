@@ -85,7 +85,6 @@ def write_reports(out_dir: str, cfg: ScenarioConfig,
             f"{protocol}|{density:g}|{seed}": run_metrics(ledger)
             for (protocol, density, seed), ledger in sorted(results.items())
         },
-        "fg_nonconverged": sum(l.fg_nonconverged for l in results.values()),
     }
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8",
               newline="\n") as fh:

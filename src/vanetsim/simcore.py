@@ -5,7 +5,7 @@ from __future__ import annotations
 import heapq
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -21,8 +21,6 @@ class SimEvent:
 
     fire_time: float
     kind: str
-    target: Any = None
-    payload: Any = None
     action: Optional[Callable[["SimEvent"], None]] = None
     sequence: int = field(default=-1)
 
@@ -69,13 +67,13 @@ class Simulator:
         heapq.heappush(self._queue, (event.fire_time, event.sequence, handle))
         return handle
 
-    def call_at(self, t: float, action: Callable[[SimEvent], None], kind: str = "call",
-                target: Any = None, payload: Any = None) -> EventHandle:
-        return self.schedule(SimEvent(t, kind, target, payload, action))
+    def call_at(self, t: float, action: Callable[[SimEvent], None],
+                kind: str = "call") -> EventHandle:
+        return self.schedule(SimEvent(t, kind, action))
 
     def call_after(self, delay: float, action: Callable[[SimEvent], None],
-                   kind: str = "call", target: Any = None, payload: Any = None) -> EventHandle:
-        return self.call_at(self.now + delay, action, kind, target, payload)
+                   kind: str = "call") -> EventHandle:
+        return self.call_at(self.now + delay, action, kind)
 
     def run_until(self, t_end: float) -> float:
         if t_end < self.now:
@@ -91,8 +89,8 @@ class Simulator:
                     event.action(event)
                 except Exception as exc:
                     raise SimulationError(
-                        f"handler for event {event.kind!r} (t={fire_time}, "
-                        f"target={event.target!r}) failed: {exc}"
+                        f"handler for event {event.kind!r} (t={fire_time}) "
+                        f"failed: {exc}"
                     ) from exc
             self.processed += 1
         self.now = t_end

@@ -124,8 +124,7 @@ def test_ac2_routing_matches_exhaustive_oracle_and_escapes_voids():
 
 def test_ac3_game_rules_match_theory():
     # realized volunteer-dilemma decisions follow the closed-form probability
-    game = GameConfig(mechanism="volunteer-dilemma", cost_k=1.0,
-                      fg_benefit=2.0, fg_cost=1.0, fg_tol=1e-6, fg_max_iters=100)
+    game = GameConfig(cost_k=1.0, fg_benefit=2.0, fg_cost=1.0)
     d_rint = 1.0 / 19.0                            # df = 1 - d/(d+1) = 0.95
     ctx = ReceptionContext(d_sr=150.0, d_rint=d_rint, r_max=300.0, lqf=1.0,
                            n_candidates=3, at_intersection=False,
@@ -142,15 +141,12 @@ def test_ac3_game_rules_match_theory():
     sigma = math.sqrt(p * (1.0 - p) / n)
     assert abs(forwards / n - p) <= 3.0 * sigma
 
-    # forwarding-game fixed points are mutual best responses (grid search)
+    # forwarding-game equilibria are exact mutual best responses
     for avails, benefit, cost in ([1.0, 1.0], 2.0, 1.0), \
             ([1.0, 0.6], 2.0, 1.0), ([0.9, 0.7, 0.5], 3.0, 1.0):
-        cfg = GameConfig(mechanism="forwarding-game", cost_k=1.0,
-                         fg_benefit=benefit, fg_cost=cost,
-                         fg_tol=1e-6, fg_max_iters=100)
-        probs, converged = forwarding_game_equilibrium(avails, cfg)
-        assert converged
-        assert mutual_best_response_gap(avails, probs, benefit, cost) <= 1e-3
+        cfg = GameConfig(cost_k=1.0, fg_benefit=benefit, fg_cost=cost)
+        probs = forwarding_game_equilibrium(avails, cfg)
+        assert mutual_best_response_gap(avails, probs, benefit, cost) <= 1e-9
 
 
 # --- criterion 4: dissemination ranking at the 600 m ring -------------------

@@ -15,7 +15,7 @@ from vanetsim.config import (ConfigError, expand_protocol, list_presets,
 from vanetsim.engine import build_run, execute_run
 from vanetsim.report import run_metrics
 
-
+from conftest import TINY_SCENARIO
 
 
 # --- scenario parsing and validation ----------------------------------------
@@ -30,6 +30,12 @@ def test_unknown_fields_are_rejected_with_their_path():
         scenario_from_dict({"warp_speed": 9})
     with pytest.raises(ConfigError, match="radio.flux"):
         scenario_from_dict({"radio": {"flux": 1}})
+
+
+def test_removed_game_knobs_are_rejected():
+    for key in ("mechanism", "fg_tol", "fg_max_iters"):
+        with pytest.raises(ConfigError, match=f"game.{key}"):
+            scenario_from_dict({"game": {key: 1}})
 
 
 def test_numeric_strings_are_coerced():
@@ -236,7 +242,15 @@ def test_parallel_execution_matches_sequential(tmp_path, tiny_yaml):
         assert (out_seq / name).read_bytes() == (out_par / name).read_bytes()
 
 
-def test_cli_strict_passes_when_every_equilibrium_converges(tmp_path, tiny_yaml):
+def test_cli_runs_a_forwarding_game_scenario(tmp_path):
+    import yaml
+
+    path = tmp_path / "fg.yaml"
+    path.write_text(yaml.safe_dump(dict(TINY_SCENARIO, protocols=["add-fg"])),
+                    encoding="utf-8")
     out = tmp_path / "out"
-    assert cli.main(["run", tiny_yaml, "--out", str(out), "--strict",
-                     "--seeds", "0"]) == 0
+    assert cli.main(["run", str(path), "--out", str(out), "--seeds", "0"]) == 0
+    csv_text = (out / "results.csv").read_text(encoding="utf-8")
+    rows = [line.split(",") for line in csv_text.strip().splitlines()[1:]]
+    assert rows and all(row[0] == "add-fg" for row in rows)
+    assert any(row[2] == "fdr@300" for row in rows)

@@ -3,6 +3,8 @@ one-shot relay decision rules."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,9 +18,8 @@ from vanetsim.dissemination import (GameConfig, ReceptionContext,
                                     vod_forward_probability)
 
 
-def game(mechanism="volunteer-dilemma", cost_k=1.0, benefit=2.0, cost=1.0):
-    return GameConfig(mechanism=mechanism, cost_k=cost_k, fg_benefit=benefit,
-                      fg_cost=cost, fg_tol=1e-6, fg_max_iters=100)
+def game(cost_k=1.0, benefit=2.0, cost=1.0):
+    return GameConfig(cost_k=cost_k, fg_benefit=benefit, fg_cost=cost)
 
 
 # --- distance factor --------------------------------------------------------
@@ -113,27 +114,75 @@ def test_availability_mixes_distance_and_bandwidth_equally():
 
 
 def test_forwarding_game_symmetric_interior_equilibrium():
-    probs, converged = forwarding_game_equilibrium([1.0, 1.0], game())
-    assert converged
-    assert abs(probs[0] - 0.5) < 1e-6 and abs(probs[1] - 0.5) < 1e-6
+    probs = forwarding_game_equilibrium([1.0, 1.0], game())
+    assert abs(probs[0] - 0.5) < 1e-12 and abs(probs[1] - 0.5) < 1e-12
+    # three equal players: each mixes so the other two together forward with
+    # probability 1 - cost/(benefit*a), i.e. (1 - p)^2 = 1/1.6
+    probs = forwarding_game_equilibrium([0.8] * 3, game())
+    assert all(abs(p - (1.0 - 1.6 ** -0.5)) < 1e-12 for p in probs)
 
 
-def test_forwarding_game_dominant_player_takes_the_burden():
-    probs, converged = forwarding_game_equilibrium([1.0, 0.6], game())
-    assert converged
-    assert probs == [1.0, 0.0]
+def test_forwarding_game_stronger_player_forwards_less():
+    # asymmetric volunteer's dilemma: each player mixes to keep the *other*
+    # indifferent, so the player who values the relay more forwards less
+    probs = forwarding_game_equilibrium([1.0, 0.6], game())
+    assert abs(probs[0] - 1.0 / 6.0) < 1e-12 and abs(probs[1] - 0.5) < 1e-12
+    probs = forwarding_game_equilibrium([0.6, 1.0], game())
+    assert abs(probs[0] - 0.5) < 1e-12 and abs(probs[1] - 1.0 / 6.0) < 1e-12
+
+
+def test_forwarding_game_support_takes_the_strongest_players_first():
+    # 0.55 is active (2 * 0.55 > 1), but ln(1.1) is too small to join the
+    # support of the two strongest, so it plays 0
+    probs = forwarding_game_equilibrium([1.0, 0.6, 0.55], game())
+    assert abs(probs[0] - 1.0 / 6.0) < 1e-12 and abs(probs[1] - 0.5) < 1e-12
+    assert probs[2] == 0.0
+    # only one of two equal 0.6 players fits: ties keep input order
+    probs = forwarding_game_equilibrium([0.6, 1.0, 0.6], game())
+    assert abs(probs[0] - 0.5) < 1e-12 and abs(probs[1] - 1.0 / 6.0) < 1e-12
+    assert probs[2] == 0.0
+
+
+def test_forwarding_game_many_marginal_players_mix_exactly():
+    probs = forwarding_game_equilibrium([1.0] * 40, game(benefit=1.05))
+    expected = 1.0 - (1.0 / 1.05) ** (1.0 / 39.0)
+    assert len(probs) == 40
+    assert all(abs(p - expected) < 1e-12 for p in probs)
 
 
 def test_forwarding_game_inactive_players_never_forward():
-    probs, converged = forwarding_game_equilibrium([0.4], game())
-    assert converged and probs == [0.0]
-    probs, converged = forwarding_game_equilibrium([1.0], game())
-    assert converged and probs == [1.0]
+    assert forwarding_game_equilibrium([0.4], game()) == [0.0]
+    assert forwarding_game_equilibrium([1.0], game()) == [1.0]
+    assert forwarding_game_equilibrium([0.4, 0.3], game()) == [0.0, 0.0]
+    # a lone active player forwards surely, whoever else is present
+    assert forwarding_game_equilibrium([0.4, 0.9, 0.5], game()) == [0.0, 1.0, 0.0]
 
 
 def test_forwarding_game_requires_a_player():
     with pytest.raises(ValueError):
         forwarding_game_equilibrium([], game())
+
+
+def nash_violations(avails, probs, benefit, cost, tol):
+    """Players whose probability is no best response: an active player
+    (benefit*a > cost) who mixes must see the others forward with probability
+    exactly 1 - cost/(benefit*a), at most that if it forwards surely and at
+    least that if it never forwards; an inactive player never forwards."""
+    bad = []
+    for i, (a, p) in enumerate(zip(avails, probs)):
+        if not 0.0 <= p <= 1.0:
+            bad.append(i)
+            continue
+        if benefit * a <= cost:
+            if p != 0.0:
+                bad.append(i)
+            continue
+        q = 1.0 - math.prod(1.0 - pj for j, pj in enumerate(probs) if j != i)
+        target = 1.0 - cost / (benefit * a)
+        if (0.0 < p < 1.0 and abs(q - target) > tol) or \
+                (p == 1.0 and q > target + tol) or (p == 0.0 and q < target - tol):
+            bad.append(i)
+    return bad
 
 
 def mutual_best_response_gap(avails, probs, benefit, cost):
@@ -159,19 +208,25 @@ def mutual_best_response_gap(avails, probs, benefit, cost):
     ([0.8, 0.8, 0.8], 2.0, 1.0),
 ])
 def test_forwarding_game_fixed_points_are_mutual_best_responses(avails, benefit, cost):
-    cfg = game(benefit=benefit, cost=cost)
-    probs, converged = forwarding_game_equilibrium(avails, cfg)
-    assert converged
-    assert mutual_best_response_gap(avails, probs, benefit, cost) <= 1e-3
+    probs = forwarding_game_equilibrium(avails, game(benefit=benefit, cost=cost))
+    assert nash_violations(avails, probs, benefit, cost, 1e-9) == []
+    assert mutual_best_response_gap(avails, probs, benefit, cost) <= 1e-9
 
 
-def test_forwarding_game_flags_non_convergence_and_returns_last_iterate():
-    # many symmetric marginal players creep toward the mixed point too slowly
-    cfg = game(benefit=1.05, cost=1.0)
-    avails = [1.0] * 40
-    probs, converged = forwarding_game_equilibrium(avails, cfg)
-    assert not converged
-    assert len(probs) == 40 and all(0.0 <= p <= 1.0 for p in probs)
+# availabilities in [0, 1], with repeats drawn from a short list so that ties
+# (including ties at the edge of the support) come up often
+avail_lists = st.lists(
+    st.one_of(st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+              st.sampled_from([0.3, 0.6, 0.9, 1.0])),
+    min_size=1, max_size=80)
+
+
+@given(avail_lists, st.floats(min_value=1.05, max_value=1000.0, allow_nan=False))
+def test_forwarding_game_solution_is_an_exact_equilibrium(avails, ratio):
+    probs = forwarding_game_equilibrium(avails, game(benefit=ratio, cost=1.0))
+    assert len(probs) == len(avails)
+    assert nash_violations(avails, probs, ratio, 1.0, 1e-9) == []
+    assert mutual_best_response_gap(avails, probs, ratio, 1.0) <= 1e-9
 
 
 # --- retransmission timers --------------------------------------------------
@@ -267,9 +322,13 @@ def test_vod_decision_probability_matches_the_closed_form():
 
 def test_game_decision_uses_the_receivers_own_equilibrium_probability():
     c = ctx(candidate_avails=[1.0, 0.6])
-    d = decide_forward("add-fg", c, game(mechanism="forwarding-game"),
-                       np.random.default_rng(0))
-    assert d.action == "forward" and d.probability == 1.0 and d.fg_converged
+    p0 = forwarding_game_equilibrium([1.0, 0.6], game())[0]
+    assert abs(p0 - 1.0 / 6.0) < 1e-12
+    for seed in range(20):
+        d = decide_forward("add-fg", c, game(), np.random.default_rng(seed))
+        draw = np.random.default_rng(seed).random()
+        assert d.probability == p0
+        assert d.action == ("forward" if draw < p0 else "suppress")
 
 
 def test_unknown_protocol_is_rejected():

@@ -97,7 +97,6 @@ class ScenarioConfig:
     seeds: list[int] = field(default_factory=lambda: list(range(10)))
     rings: list[float] = field(default_factory=lambda: list(DEFAULT_RINGS))
     obstacles: bool = False
-    mobility_dt: float = 0.5
     jitter_max: float = 0.02           # rebroadcast jitter upper bound, seconds
 
     def validate(self) -> list[str]:

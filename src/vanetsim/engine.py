@@ -17,7 +17,7 @@ from .config import (CTD_PROTOCOLS, ROUTING_PROTOCOLS, ScenarioConfig, Frame,
 from .ctd import Alert, majority_confirms, passive_accept, reply_draw
 from .metrics import MetricsLedger
 from .radio import Channel, LinkQualityInputs, abe_estimate, atb_interval, lqf
-from .roadnet import generate_grid, RoadGraph
+from .roadnet import MOBILITY_DT, generate_grid
 from .simcore import RngStreams, SimEvent, Simulator
 
 HELLO_SIZE = 64          # bytes
@@ -53,39 +53,27 @@ class Node:
     seen: set = field(default_factory=set)
     msg_state: dict = field(default_factory=dict)
     weights: rt.MetricWeights = field(default_factory=rt.equal_weights)
-    pending_nsf: list = field(default_factory=list)
-    pending_scf: list = field(default_factory=list)
 
 
 class PositionTable:
-    """Grid-sampled positions of every node, vectorized lookup by time."""
+    """Positions of every node on the mobility sample grid, vectorized lookup
+    by time.  Mobile columns come from the random-trip walk; static nodes
+    (origin, RSUs) follow as constant columns with zero speed."""
 
-    def __init__(self, trace, mobile_ids: list[str], static: dict[str, tuple[float, float]],
-                 duration: float, dt: float):
-        self.ids = list(mobile_ids) + sorted(static)
+    def __init__(self, mobile_ids: list[str], X: np.ndarray, Y: np.ndarray,
+                 V: np.ndarray, static: dict[str, tuple[float, float]]):
+        fixed = sorted(static)
+        self.ids = list(mobile_ids) + fixed
         self.index = {nid: i for i, nid in enumerate(self.ids)}
-        self.t0 = 0.0
-        self.dt = dt
-        n_steps = int(math.ceil(duration / dt)) + 1
-        self.times = np.arange(n_steps + 1) * dt
-        n = len(self.ids)
-        self.X = np.empty((len(self.times), n))
-        self.Y = np.empty((len(self.times), n))
-        self.V = np.zeros((len(self.times), n))
-        for i, nid in enumerate(mobile_ids):
-            for k, t in enumerate(self.times):
-                tq = min(t, trace.span(nid)[1])
-                (x, y), v = trace.position_at(nid, tq)
-                self.X[k, i], self.Y[k, i], self.V[k, i] = x, y, v
-        for nid in sorted(static):
-            i = self.index[nid]
-            self.X[:, i], self.Y[:, i] = static[nid]
-        self.n_mobile = len(mobile_ids)
+        pad = np.zeros((len(X), len(fixed)))
+        self.X = np.hstack((X, pad + [static[nid][0] for nid in fixed]))
+        self.Y = np.hstack((Y, pad + [static[nid][1] for nid in fixed]))
+        self.V = np.hstack((V, pad))
 
     def _bracket(self, t: float) -> tuple[int, float]:
-        k = int(t / self.dt)
-        k = max(0, min(k, len(self.times) - 2))
-        frac = (t - self.times[k]) / self.dt
+        k = int(t / MOBILITY_DT)
+        k = max(0, min(k, len(self.X) - 2))
+        frac = (t - k * MOBILITY_DT) / MOBILITY_DT
         return k, min(1.0, max(0.0, frac))
 
     def coords_at(self, t: float) -> np.ndarray:
@@ -108,9 +96,8 @@ class PositionTable:
     def velocity(self, nid: str, t: float) -> tuple[float, float]:
         i = self.index[nid]
         k, _ = self._bracket(t)
-        dt = self.dt
-        vx = (self.X[k + 1, i] - self.X[k, i]) / dt
-        vy = (self.Y[k + 1, i] - self.Y[k, i]) / dt
+        vx = (self.X[k + 1, i] - self.X[k, i]) / MOBILITY_DT
+        vy = (self.Y[k + 1, i] - self.Y[k, i]) / MOBILITY_DT
         return (vx, vy)
 
 
@@ -119,7 +106,6 @@ class Run:
 
     def __init__(self, cfg: ScenarioConfig, density: float, protocol: str, seed: int):
         self.cfg = cfg
-        self.density = density
         self.protocol = protocol
         self.seed = seed
         self.sim = Simulator()
@@ -129,12 +115,10 @@ class Run:
 
         pedestrians = cfg.pedestrian_count if protocol in CTD_PROTOCOLS else 0
         vehicle_density = 0.0 if protocol in CTD_PROTOCOLS else density
-        self.graph, self.trace = generate_grid(
+        self.graph, mobile_ids, X, Y, V = generate_grid(
             cfg.area.width, cfg.area.height, cfg.area.block_size,
-            vehicle_density, seed,
-            duration=cfg.duration + 1.0, dt=cfg.mobility_dt,
+            vehicle_density, seed, duration=cfg.duration + 1.0,
             with_obstacles=cfg.obstacles, pedestrian_count=pedestrians)
-        mobile_ids = sorted(self.trace.nodes)
 
         static: dict[str, tuple[float, float]] = {}
         if cfg.warning.origin is not None:
@@ -157,8 +141,7 @@ class Run:
         elif protocol not in CTD_PROTOCOLS:
             static["origin"] = self.origin
 
-        self.positions = PositionTable(self.trace, mobile_ids, static,
-                                       cfg.duration + 1.0, cfg.mobility_dt)
+        self.positions = PositionTable(mobile_ids, X, Y, V, static)
         self.channel = Channel(cfg.radio, self.rngs.get("radio-loss"),
                                self.graph if cfg.obstacles else None)
         mac_rng = self.rngs.get("scenario")
@@ -253,7 +236,8 @@ class Run:
             "mac_loss": node.mac_loss,
         }
 
-    def on_hello(self, receiver: str, msg: Message, t: float, sender: str) -> None:
+    def on_hello(self, receiver: str, msg: Message, t: float, sender: str) -> bool:
+        """Refresh the receiver's neighbor entry; True if the sender is new."""
         node = self.nodes[receiver]
         p = msg.payload
         is_new = sender not in node.neighbors or \
@@ -261,28 +245,7 @@ class Run:
         node.neighbors[sender] = rt.NeighborEntry(
             sender, p["position"], p["speed"], p["heading"],
             p["density"], p["abe"], p["mac_loss"], t)
-        if is_new and node.pending_nsf:
-            for entry in list(node.pending_nsf):
-                msg_id, known = entry
-                if sender not in known:
-                    node.pending_nsf.remove(entry)
-                    self.relay_now(node, msg_id)
-        if node.pending_scf:
-            for msg_id in list(node.pending_scf):
-                node.pending_scf.remove(msg_id)
-                self.relay_now(node, msg_id)
-
-    def relay_now(self, node: Node, msg_id: str) -> None:
-        state = node.msg_state.get(msg_id)
-        if state is None or state.forwarded:
-            return
-        stored = getattr(state, "stored_msg", None)
-        if stored is None or stored.ttl <= 0:
-            return
-        if self.sim.now > stored.created + self.cfg.warning.lifetime:
-            return
-        state.forwarded = True
-        self.forward_warning(node.id, stored)
+        return is_new
 
     def start_beacons(self, ids: Optional[list[str]] = None, atb: bool = False,
                       i_min: float = 0.1, i_max: float = 1.0) -> None:
@@ -311,33 +274,7 @@ class Run:
         return beacon
 
     def on_beacon_tick(self, node: Node, now: float) -> None:
-        """Hook: per-beacon protocol housekeeping (DSW weight refresh)."""
-        if self.protocol == "3mrp-dsw" and node.kind == "vehicle":
-            fresh = self.fresh_neighbors(node, now)
-            if len(fresh) >= 2:
-                pos = self.positions.pos(node.id, now)
-                dest = self.closest_rsu_pos(pos)
-                snaps = [rt.normalize_metrics(e, pos, dest,
-                                              bitrate=self.cfg.radio.bitrate,
-                                              density_ref=self.cfg.routing.density_ref)
-                         for _nid, e in sorted(fresh.items())]
-                node.weights = rt.dsw_update(snaps, node.weights,
-                                             self.cfg.routing.dsw_lambda)
-            else:
-                node.weights = rt.equal_weights(self.cfg.routing.w_floor)
-
-    def closest_rsu_pos(self, p: tuple[float, float]) -> tuple[float, float]:
-        best, best_d = None, float("inf")
-        for rid in self.rsu_ids:
-            rp = self.nodes[rid].static_pos
-            d = math.hypot(rp[0] - p[0], rp[1] - p[1])
-            if d < best_d:
-                best, best_d = rp, d
-        return best
-
-    # overridden by run families
-    def forward_warning(self, sender: str, msg: Message) -> None:
-        raise NotImplementedError
+        """Hook: per-beacon protocol housekeeping, run before the hello."""
 
 
 # --- dissemination runs -----------------------------------------------------
@@ -352,6 +289,10 @@ class DisseminationRun(Run):
         self.vehicle_ids = sorted(n for n, node in self.nodes.items()
                                   if node.kind == "vehicle" and n != "origin")
         self.reached: set[str] = set()
+        # node id -> messages held for a later relay: NSF waits for a
+        # neighbor outside the set it knew at receipt, SCF for any hello
+        self.pending_nsf: dict[str, list[tuple[str, frozenset]]] = {}
+        self.pending_scf: dict[str, list[str]] = {}
 
     def execute(self) -> MetricsLedger:
         cfg = self.cfg
@@ -407,6 +348,36 @@ class DisseminationRun(Run):
         copy = dataclasses.replace(msg, ttl=msg.ttl - 1, hops=msg.hops + 1)
         self.broadcast(sender, copy, self.on_warning)
 
+    def on_hello(self, receiver: str, msg: Message, t: float, sender: str) -> bool:
+        """Also relay what the receiver held for a neighbor like this one."""
+        is_new = super().on_hello(receiver, msg, t, sender)
+        node = self.nodes[receiver]
+        pending_nsf = self.pending_nsf.get(receiver)
+        if is_new and pending_nsf:
+            for entry in list(pending_nsf):
+                msg_id, known = entry
+                if sender not in known:
+                    pending_nsf.remove(entry)
+                    self.relay_now(node, msg_id)
+        pending_scf = self.pending_scf.get(receiver)
+        if pending_scf:
+            for msg_id in list(pending_scf):
+                pending_scf.remove(msg_id)
+                self.relay_now(node, msg_id)
+        return is_new
+
+    def relay_now(self, node: Node, msg_id: str) -> None:
+        state = node.msg_state.get(msg_id)
+        if state is None or state.forwarded:
+            return
+        stored = getattr(state, "stored_msg", None)
+        if stored is None or stored.ttl <= 0:
+            return
+        if self.sim.now > stored.created + self.cfg.warning.lifetime:
+            return
+        state.forwarded = True
+        self.forward_warning(node.id, stored)
+
     def on_warning(self, receiver: str, msg: Message, t: float,
                    sender_pos: tuple[float, float]) -> None:
         node = self.nodes[receiver]
@@ -441,7 +412,7 @@ class DisseminationRun(Run):
         protocol = self.protocol
         if protocol == "nsf":
             fresh = self.fresh_neighbors(node, t)
-            node.pending_nsf.append((msg.id, frozenset(fresh)))
+            self.pending_nsf.setdefault(node.id, []).append((msg.id, frozenset(fresh)))
             self.ledger.scf_stores += 1
             return
         if protocol == "jsf":
@@ -461,18 +432,20 @@ class DisseminationRun(Run):
                                 kind="transmit-start")
         elif decision.action == "store":
             self.ledger.scf_stores += 1
-            node.pending_scf.append(msg.id)
+            self.pending_scf.setdefault(node.id, []).append(msg.id)
             self._schedule_scf_retry(node, msg)
 
     def _schedule_scf_retry(self, node: Node, msg: Message) -> None:
+        pending = self.pending_scf[node.id]
+
         def retry(_event: SimEvent) -> None:
-            if msg.id not in node.pending_scf:
+            if msg.id not in pending:
                 return
             if self.sim.now > msg.created + self.cfg.warning.lifetime:
-                node.pending_scf.remove(msg.id)
+                pending.remove(msg.id)
                 return
             if self.fresh_neighbors(node, self.sim.now):
-                node.pending_scf.remove(msg.id)
+                pending.remove(msg.id)
                 self.relay_now(node, msg.id)
                 return
             self.sim.call_after(self.cfg.routing.hello_interval, retry,
@@ -611,6 +584,31 @@ class RoutingRun(Run):
         self.ledger.check_invariants()
         return self.ledger
 
+    def on_beacon_tick(self, node: Node, now: float) -> None:
+        """DSW: refresh the vehicle's metric weights from its neighbor table."""
+        if self.protocol == "3mrp-dsw" and node.kind == "vehicle":
+            fresh = self.fresh_neighbors(node, now)
+            if len(fresh) >= 2:
+                pos = self.positions.pos(node.id, now)
+                dest = self.closest_rsu_pos(pos)
+                snaps = [rt.normalize_metrics(e, pos, dest,
+                                              bitrate=self.cfg.radio.bitrate,
+                                              density_ref=self.cfg.routing.density_ref)
+                         for _nid, e in sorted(fresh.items())]
+                node.weights = rt.dsw_update(snaps, node.weights,
+                                             self.cfg.routing.dsw_lambda)
+            else:
+                node.weights = rt.equal_weights(self.cfg.routing.w_floor)
+
+    def closest_rsu_pos(self, p: tuple[float, float]) -> tuple[float, float]:
+        best, best_d = None, float("inf")
+        for rid in self.rsu_ids:
+            rp = self.nodes[rid].static_pos
+            d = math.hypot(rp[0] - p[0], rp[1] - p[1])
+            if d < best_d:
+                best, best_d = rp, d
+        return best
+
     def emit_packet(self, src: str, frame: Frame) -> None:
         now = self.sim.now
         pos = self.positions.pos(src, now)
@@ -712,9 +710,6 @@ class RoutingRun(Run):
         if msg.perimeter is not None:
             msg.perimeter.came_from = holder_id
         self.sim.call_after(delay, lambda e: self.hop(nxt, msg), kind="transmit-end")
-
-    def forward_warning(self, sender: str, msg: Message) -> None:
-        pass  # routing runs carry no broadcast warnings
 
 
 # --- CTD runs ---------------------------------------------------------------
@@ -844,9 +839,6 @@ class CtdRun(Run):
             self.sim.call_after(delay,
                                 lambda e: self.broadcast_alert(receiver, alert),
                                 kind="transmit-start")
-
-    def forward_warning(self, sender: str, msg: Message) -> None:
-        pass
 
 
 def build_run(cfg: ScenarioConfig, density: float, protocol_label: str,

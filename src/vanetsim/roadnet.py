@@ -1,19 +1,20 @@
-"""Urban road graph, synthetic grid scenarios, and mobility trace playback."""
+"""Urban road graph and synthetic grid scenarios with random-trip mobility."""
 
 from __future__ import annotations
 
-import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import networkx as nx
 import numpy as np
 
 DEFAULT_INTERSECTION_RADIUS = 10.0  # meters, closed boundary
-ON_ROAD_TOLERANCE = 0.5  # meters
 OBSTACLE_INSET = 5.0  # meters from street centerline to building face
 PEDESTRIAN_SPEED = 1.4  # m/s nominal walking speed
+# seconds between mobility samples; a power of two, so every sample time k*dt
+# is exact and the engine's interpolation lands on the samples themselves
+MOBILITY_DT = 0.5
 
 
 @dataclass(frozen=True)
@@ -96,119 +97,6 @@ class RoadGraph:
             raise ValueError("radius must be positive")
         return self.nearest_intersection(p)[1] <= radius
 
-    # --- file format: plain text sections, '#' comments ---
-
-    def to_file(self, path: str) -> None:
-        lines = ["# road graph", "[intersections]", "# id x y"]
-        for i in sorted(self.intersections):
-            node = self.intersections[i]
-            lines.append(f"{node.id} {node.x!r} {node.y!r}")
-        lines += ["[segments]", "# id a b length speed_limit"]
-        for seg in self.segments:
-            lines.append(f"{seg.id} {seg.a} {seg.b} {seg.length!r} {seg.speed_limit!r}")
-        lines += ["[obstacles]", "# xmin ymin xmax ymax"]
-        for o in self.obstacles:
-            lines.append(" ".join(repr(v) for v in o))
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-    @classmethod
-    def from_file(cls, path: str) -> "RoadGraph":
-        section = None
-        intersections, segments, obstacles = [], [], []
-        with open(path, encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if line.startswith("["):
-                    section = line.strip("[]")
-                    continue
-                parts = line.split()
-                if section == "intersections":
-                    intersections.append(
-                        Intersection(int(parts[0]), float(parts[1]), float(parts[2])))
-                elif section == "segments":
-                    segments.append(Segment(int(parts[0]), int(parts[1]), int(parts[2]),
-                                            float(parts[3]), float(parts[4])))
-                elif section == "obstacles":
-                    obstacles.append(tuple(float(v) for v in parts))
-                else:
-                    raise RoadGraphError(f"line outside a known section: {line!r}")
-        graph = cls(intersections, segments, obstacles)
-        graph.validate()
-        return graph
-
-
-class TraceError(ValueError):
-    pass
-
-
-class MobilityTrace:
-    """Per-node timestamped position/speed records with linear interpolation."""
-
-    def __init__(self) -> None:
-        self._records: dict[str, tuple[list[float], list[float], list[float], list[float]]] = {}
-
-    def add(self, t: float, node: str, x: float, y: float, speed: float) -> None:
-        times, xs, ys, speeds = self._records.setdefault(node, ([], [], [], []))
-        if times and t <= times[-1]:
-            raise TraceError(f"times must strictly increase for node {node}")
-        times.append(t)
-        xs.append(x)
-        ys.append(y)
-        speeds.append(speed)
-
-    @property
-    def nodes(self) -> list[str]:
-        return list(self._records)
-
-    def span(self, node: str) -> tuple[float, float]:
-        times = self._records[node][0]
-        return times[0], times[-1]
-
-    def position_at(self, node: str, t: float) -> tuple[tuple[float, float], float]:
-        if node not in self._records:
-            raise TraceError(f"no trace records for node {node}")
-        times, xs, ys, speeds = self._records[node]
-        if t < times[0] or t > times[-1]:
-            raise TraceError(
-                f"t={t} outside trace span [{times[0]}, {times[-1]}] for node {node}")
-        i = bisect.bisect_right(times, t) - 1
-        if i == len(times) - 1:
-            return (xs[i], ys[i]), speeds[i]
-        frac = (t - times[i]) / (times[i + 1] - times[i])
-        x = xs[i] + frac * (xs[i + 1] - xs[i])
-        y = ys[i] + frac * (ys[i + 1] - ys[i])
-        v = speeds[i] + frac * (speeds[i + 1] - speeds[i])
-        return (x, y), v
-
-    def to_file(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("time,node_id,x,y,speed\n")
-            rows = []
-            for node, (times, xs, ys, speeds) in self._records.items():
-                for k in range(len(times)):
-                    rows.append((times[k], node, xs[k], ys[k], speeds[k]))
-            rows.sort(key=lambda r: (r[0], r[1]))
-            for t, node, x, y, v in rows:
-                fh.write(f"{t!r},{node},{x!r},{y!r},{v!r}\n")
-
-    @classmethod
-    def from_file(cls, path: str) -> "MobilityTrace":
-        trace = cls()
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != "time,node_id,x,y,speed":
-                raise TraceError(f"bad trace header: {header!r}")
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                t, node, x, y, v = line.split(",")
-                trace.add(float(t), node, float(x), float(y), float(v))
-        return trace
-
 
 def make_grid_graph(area_width: float, area_height: float, block_size: float,
                     speed_limit: float = 14.0,
@@ -249,10 +137,12 @@ def make_grid_graph(area_width: float, area_height: float, block_size: float,
     return graph
 
 
-def _random_trips(graph: RoadGraph, rng: np.random.Generator, node: str,
-                  duration: float, dt: float, speed_lo: float, speed_hi: float,
-                  trace: MobilityTrace) -> None:
-    """Shortest-path trips between random intersections, resampled on a dt grid."""
+def _random_trips(graph: RoadGraph, rng: np.random.Generator,
+                  duration: float, rows: int, speed_lo: float, speed_hi: float
+                  ) -> tuple[list[float], list[float], list[float]]:
+    """Shortest-path trips between random intersections, sampled every
+    MOBILITY_DT from t = 0 up to the duration: (xs, ys, speeds), `rows` long.
+    Rows past the last sample (the horizon, or the end of the walk) hold it."""
     g = graph.as_networkx()
     ids = sorted(graph.intersections)
     # start at a random point along a random segment so the initial placement
@@ -287,22 +177,23 @@ def _random_trips(graph: RoadGraph, rng: np.random.Generator, node: str,
             speeds.append(speed)
             total_time += d / speed
         current = dest
-    # walk the polyline, emitting samples every dt
-    t = 0.0
+    # walk the polyline; each step moves at the speed of the leg it starts on
+    lengths = [math.hypot(bx - ax, by - ay)
+               for (ax, ay), (bx, by) in zip(points, points[1:])]
+    n_samples = int((duration + 1e-9) / MOBILITY_DT) + 1
+    xs: list[float] = []
+    ys: list[float] = []
+    vs: list[float] = []
     leg = 0
     leg_pos = 0.0
     x, y = points[0]
-    last_emitted = -1.0
-    while t <= duration + 1e-9 and leg < len(speeds):
-        trace.add(round(t, 6), node, x, y, speeds[leg])
-        last_emitted = round(t, 6)
-        advance = speeds[leg] * dt
-        t += dt
+    while len(xs) < n_samples and leg < len(speeds):
+        xs.append(x)
+        ys.append(y)
+        vs.append(speeds[leg])
+        advance = speeds[leg] * MOBILITY_DT
         while advance > 0 and leg < len(speeds):
-            ax, ay = points[leg]
-            bx, by = points[leg + 1]
-            leg_len = math.hypot(bx - ax, by - ay)
-            remain = leg_len - leg_pos
+            remain = lengths[leg] - leg_pos
             if advance < remain:
                 leg_pos += advance
                 advance = 0.0
@@ -311,28 +202,28 @@ def _random_trips(graph: RoadGraph, rng: np.random.Generator, node: str,
                 leg += 1
                 leg_pos = 0.0
         if leg < len(speeds):
-            ax, ay = points[leg]
-            bx, by = points[leg + 1]
-            leg_len = math.hypot(bx - ax, by - ay)
-            frac = leg_pos / leg_len if leg_len > 0 else 0.0
+            (ax, ay), (bx, by) = points[leg], points[leg + 1]
+            frac = leg_pos / lengths[leg] if lengths[leg] > 0 else 0.0
             x = ax + frac * (bx - ax)
             y = ay + frac * (by - ay)
-    if last_emitted < duration:
-        v = speeds[-1] if speeds else 0.0
-        trace.add(duration + 1e-6, node, x, y, v)
+    hold = rows - len(xs)
+    return xs + [xs[-1]] * hold, ys + [ys[-1]] * hold, vs + [vs[-1]] * hold
 
 
 def generate_grid(area_width: float, area_height: float, block_size: float,
                   density: float, seed: int, *,
-                  duration: float = 60.0, dt: float = 0.5,
-                  speed_limit: float = 14.0, with_obstacles: bool = False,
-                  kind: str = "vehicle",
-                  pedestrian_count: int = 0) -> tuple[RoadGraph, MobilityTrace]:
+                  duration: float = 60.0, speed_limit: float = 14.0,
+                  with_obstacles: bool = False, pedestrian_count: int = 0
+                  ) -> tuple[RoadGraph, list[str], np.ndarray, np.ndarray, np.ndarray]:
     """Synthetic grid scenario: Manhattan graph plus random-trip mobility.
 
     Vehicle count is round(density * area_km2).  Vehicles follow shortest-path
     trips between random intersections; pedestrians (when requested) do the
     same at walking speed.  Deterministic under the seed.
+
+    Returns (graph, ids, X, Y, V): the mobile ids in sorted order and their
+    positions and speeds at t = k * MOBILITY_DT, one row per k and one column
+    per id, with ceil(duration / MOBILITY_DT) + 2 rows.
     """
     if density <= 0 and pedestrian_count <= 0:
         raise RoadGraphError("density must be positive")
@@ -344,11 +235,18 @@ def generate_grid(area_width: float, area_height: float, block_size: float,
     n_vehicles = int(round(density * area_km2)) if density > 0 else 0
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
         entropy=int(seed), spawn_key=(0x6d0b,))))
-    trace = MobilityTrace()
-    for v in range(n_vehicles):
-        _random_trips(graph, rng, f"{kind}{v}", duration, dt,
-                      0.5 * speed_limit, speed_limit, trace)
-    for p in range(pedestrian_count):
-        _random_trips(graph, rng, f"ped{p}", duration, dt,
-                      0.8 * PEDESTRIAN_SPEED, 1.2 * PEDESTRIAN_SPEED, trace)
-    return graph, trace
+    # trips are drawn in creation order; columns follow the sorted ids
+    bands = ([(f"vehicle{v}", 0.5 * speed_limit, speed_limit)
+              for v in range(n_vehicles)] +
+             [(f"ped{p}", 0.8 * PEDESTRIAN_SPEED, 1.2 * PEDESTRIAN_SPEED)
+              for p in range(pedestrian_count)])
+    ids = sorted(nid for nid, _, _ in bands)
+    column = {nid: i for i, nid in enumerate(ids)}
+    rows = int(math.ceil(duration / MOBILITY_DT)) + 2
+    X = np.empty((rows, len(ids)))
+    Y = np.empty((rows, len(ids)))
+    V = np.empty((rows, len(ids)))
+    for nid, lo, hi in bands:
+        i = column[nid]
+        X[:, i], Y[:, i], V[:, i] = _random_trips(graph, rng, duration, rows, lo, hi)
+    return graph, ids, X, Y, V

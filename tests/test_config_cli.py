@@ -3,6 +3,7 @@ and run-level invariants (determinism, conservation, parallel equivalence)."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -33,9 +34,12 @@ def test_unknown_fields_are_rejected_with_their_path():
 
 
 def test_removed_game_knobs_are_rejected():
-    for key in ("mechanism", "fg_tol", "fg_max_iters"):
-        with pytest.raises(ConfigError, match=f"game.{key}"):
-            scenario_from_dict({"game": {key: 1}})
+    removed = [({"game": {key: 1}}, f"game.{key}")
+               for key in ("mechanism", "fg_tol", "fg_max_iters")]
+    removed.append(({"mobility_dt": 0.5}, "mobility_dt"))
+    for data, path in removed:
+        with pytest.raises(ConfigError, match=path):
+            scenario_from_dict(data)
 
 
 def test_numeric_strings_are_coerced():
@@ -224,6 +228,27 @@ def test_cli_reports_are_byte_identical_across_runs(tmp_path, tiny_yaml):
     assert cli.main(["run", tiny_yaml, "--out", str(out_b)]) == 0
     for name in ("results.csv", "summary.json"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+# sha256 of results.csv for the tiny scenario under one protocol per run
+# family: NSF (store-and-forward on hello), add-vod (one-shot relay), 3mrp-dsw
+# (DSW weights on beacon) and ctd-query (pedestrian mobility).  A change that
+# moves any reported number must update this value and say which numbers moved.
+PINNED_RESULTS_SHA256 = \
+    "6453c7561a217ddf10f6c87f23a4405bab3661047f54c07c8644b993706ee2d6"
+
+
+def test_cli_results_match_the_pinned_digest(tmp_path):
+    import yaml
+
+    path = tmp_path / "pinned.yaml"
+    scenario = dict(TINY_SCENARIO, pedestrian_count=60,
+                    protocols=["nsf", "add-vod", "3mrp-dsw", "ctd-query"])
+    path.write_text(yaml.safe_dump(scenario), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
+    assert digest == PINNED_RESULTS_SHA256
 
 
 def test_cli_seed_override_limits_the_sweep(tmp_path, tiny_yaml):

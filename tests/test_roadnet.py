@@ -1,4 +1,4 @@
-"""Road graph construction/validation, mobility traces and file round-trips."""
+"""Road graph construction/validation and random-trip mobility on the grid."""
 
 from __future__ import annotations
 
@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vanetsim.roadnet import (Intersection, MobilityTrace, RoadGraph,
-                              RoadGraphError, Segment, TraceError,
+from vanetsim.roadnet import (MOBILITY_DT, PEDESTRIAN_SPEED, Intersection,
+                              RoadGraph, RoadGraphError, Segment,
                               generate_grid, make_grid_graph)
 
 
@@ -81,90 +81,51 @@ def test_is_at_intersection_radius_boundary():
         graph.is_at_intersection((0.0, 0.0), radius=0.0)
 
 
-def test_graph_file_round_trip(tmp_path):
-    graph = make_grid_graph(600.0, 400.0, 200.0)
-    path = tmp_path / "grid.graph"
-    graph.to_file(str(path))
-    loaded = RoadGraph.from_file(str(path))
-    loaded.validate()
-    assert {(i.id, i.x, i.y) for i in loaded.intersections.values()} == \
-        {(i.id, i.x, i.y) for i in graph.intersections.values()}
-    assert [(s.id, s.a, s.b) for s in loaded.segments] == \
-        [(s.id, s.a, s.b) for s in graph.segments]
-
-
-def test_trace_interpolates_between_samples():
-    trace = MobilityTrace()
-    trace.add(0.0, "v0", 0.0, 0.0, 10.0)
-    trace.add(2.0, "v0", 20.0, 0.0, 10.0)
-    (x, y), speed = trace.position_at("v0", 1.0)
-    assert (x, y) == (10.0, 0.0)
-    assert speed == 10.0
-    assert trace.span("v0") == (0.0, 2.0)
-
-
-def test_trace_rejects_queries_outside_the_recorded_span():
-    trace = MobilityTrace()
-    trace.add(1.0, "v0", 0.0, 0.0, 5.0)
-    trace.add(2.0, "v0", 5.0, 0.0, 5.0)
-    with pytest.raises(TraceError):
-        trace.position_at("v0", 0.5)
-    with pytest.raises(TraceError):
-        trace.position_at("v0", 2.5)
-    with pytest.raises(TraceError):
-        trace.position_at("missing", 1.5)
-
-
-def test_trace_times_must_strictly_increase():
-    trace = MobilityTrace()
-    trace.add(1.0, "v0", 0.0, 0.0, 5.0)
-    with pytest.raises(TraceError):
-        trace.add(1.0, "v0", 1.0, 0.0, 5.0)
-
-
-def test_trace_file_round_trip(tmp_path):
-    trace = MobilityTrace()
-    trace.add(0.0, "v0", 1.5, 2.5, 3.0)
-    trace.add(1.0, "v0", 4.5, 2.5, 3.0)
-    trace.add(0.5, "v1", 9.0, 9.0, 0.0)
-    path = tmp_path / "trace.csv"
-    trace.to_file(str(path))
-    header = path.read_text(encoding="utf-8").splitlines()[0]
-    assert header == "time,node_id,x,y,speed"
-    loaded = MobilityTrace.from_file(str(path))
-    assert sorted(loaded.nodes) == ["v0", "v1"]
-    assert loaded.position_at("v0", 0.5) == ((3.0, 2.5), 3.0)
-
-
-def test_trace_file_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("t,node,x,y\n0,v0,1,2\n", encoding="utf-8")
-    with pytest.raises(TraceError):
-        MobilityTrace.from_file(str(path))
-
-
 def test_generate_grid_population_matches_density():
-    graph, trace = generate_grid(800.0, 800.0, 200.0, 30.0, seed=0, duration=5.0)
+    graph, ids, X, Y, V = generate_grid(800.0, 800.0, 200.0, 30.0, seed=0,
+                                        duration=5.0, pedestrian_count=7)
     area_km2 = 0.8 * 0.8
-    assert abs(len(trace.nodes) - 30.0 * area_km2) <= 1.0
+    vehicles = [nid for nid in ids if nid.startswith("vehicle")]
+    assert abs(len(vehicles) - 30.0 * area_km2) <= 1.0
+    assert sum(nid.startswith("ped") for nid in ids) == 7
+    assert ids == sorted(ids)
+    rows = math.ceil(5.0 / MOBILITY_DT) + 2
+    assert X.shape == Y.shape == V.shape == (rows, len(ids))
+    # the last row lies past the horizon and holds the sample at the horizon
+    assert np.array_equal(X[-1], X[-2]) and np.array_equal(V[-1], V[-2])
     graph.validate()
 
 
 def test_generate_grid_is_deterministic_per_seed():
-    _, a = generate_grid(600.0, 600.0, 200.0, 25.0, seed=5, duration=4.0)
-    _, b = generate_grid(600.0, 600.0, 200.0, 25.0, seed=5, duration=4.0)
-    _, c = generate_grid(600.0, 600.0, 200.0, 25.0, seed=6, duration=4.0)
-    node = a.nodes[0]
-    assert a.position_at(node, 2.0) == b.position_at(node, 2.0)
-    assert any(a.position_at(n, 2.0) != c.position_at(n, 2.0) for n in a.nodes)
+    _, ids_a, *a = generate_grid(600.0, 600.0, 200.0, 25.0, seed=5, duration=4.0)
+    _, ids_b, *b = generate_grid(600.0, 600.0, 200.0, 25.0, seed=5, duration=4.0)
+    _, ids_c, *c = generate_grid(600.0, 600.0, 200.0, 25.0, seed=6, duration=4.0)
+    assert ids_a == ids_b == ids_c
+    assert all(np.array_equal(p, q) for p, q in zip(a, b))
+    assert not np.array_equal(a[0], c[0])
 
 
-@given(seed=st.integers(min_value=0, max_value=50),
-       t=st.floats(min_value=0.0, max_value=4.0, allow_nan=False))
-def test_generated_positions_stay_on_the_map(seed, t):
-    _, trace = generate_grid(600.0, 400.0, 200.0, 20.0, seed=seed, duration=4.0)
-    for node in trace.nodes:
-        (x, y), speed = trace.position_at(node, t)
-        assert -1e-6 <= x <= 600.0 + 1e-6
-        assert -1e-6 <= y <= 400.0 + 1e-6
-        assert speed >= 0.0
+@given(seed=st.integers(min_value=0, max_value=50))
+def test_generated_positions_stay_on_the_map(seed):
+    _, _, X, Y, V = generate_grid(600.0, 400.0, 200.0, 20.0, seed=seed, duration=4.0)
+    assert X.min() >= -1e-6 and X.max() <= 600.0 + 1e-6
+    assert Y.min() >= -1e-6 and Y.max() <= 400.0 + 1e-6
+    assert V.min() > 0.0
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_random_trips_stay_on_streets_within_their_speed_band(seed):
+    block, speed_limit = 100.0, 14.0
+    _, ids, X, Y, V = generate_grid(500.0, 300.0, block, 40.0, seed=seed,
+                                    duration=30.0, speed_limit=speed_limit,
+                                    pedestrian_count=10)
+    # every sample lies on a street: a multiple of the block size in x or y
+    off_x = np.abs(X - np.round(X / block) * block)
+    off_y = np.abs(Y - np.round(Y / block) * block)
+    assert (np.minimum(off_x, off_y) <= 1e-6).all()
+    walking = np.array([nid.startswith("ped") for nid in ids])
+    lo = np.where(walking, 0.8 * PEDESTRIAN_SPEED, 0.5 * speed_limit)
+    hi = np.where(walking, 1.2 * PEDESTRIAN_SPEED, speed_limit)
+    assert ((V >= lo) & (V <= hi)).all()
+    step = np.hypot(np.diff(X, axis=0), np.diff(Y, axis=0))
+    assert (step <= hi * MOBILITY_DT + 1e-9).all()

@@ -96,7 +96,6 @@ class ScenarioConfig:
     duration: float = 40.0
     seeds: list[int] = field(default_factory=lambda: list(range(10)))
     rings: list[float] = field(default_factory=lambda: list(DEFAULT_RINGS))
-    obstacles: bool = False
     jitter_max: float = 0.02           # rebroadcast jitter upper bound, seconds
 
     def validate(self) -> list[str]:

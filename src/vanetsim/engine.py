@@ -16,7 +16,8 @@ from .config import (CTD_PROTOCOLS, ROUTING_PROTOCOLS, ScenarioConfig, Frame,
                      expand_protocol, load_frame_trace, synthetic_frame_trace)
 from .ctd import Alert, majority_confirms, passive_accept, reply_draw
 from .metrics import MetricsLedger
-from .radio import Channel, LinkQualityInputs, abe_estimate, atb_interval, lqf
+from .radio import (Channel, LinkQualityInputs, abe_estimate, atb_interval, lqf,
+                    reachable)
 from .roadnet import MOBILITY_DT, generate_grid
 from .simcore import RngStreams, SimEvent, Simulator
 
@@ -118,7 +119,7 @@ class Run:
         self.graph, mobile_ids, X, Y, V = generate_grid(
             cfg.area.width, cfg.area.height, cfg.area.block_size,
             vehicle_density, seed, duration=cfg.duration + 1.0,
-            with_obstacles=cfg.obstacles, pedestrian_count=pedestrians)
+            with_obstacles=cfg.radio.obstacle_blocking, pedestrian_count=pedestrians)
 
         static: dict[str, tuple[float, float]] = {}
         if cfg.warning.origin is not None:
@@ -142,8 +143,7 @@ class Run:
             static["origin"] = self.origin
 
         self.positions = PositionTable(mobile_ids, X, Y, V, static)
-        self.channel = Channel(cfg.radio, self.rngs.get("radio-loss"),
-                               self.graph if cfg.obstacles else None)
+        self.channel = Channel(cfg.radio, self.rngs.get("radio-loss"))
         mac_rng = self.rngs.get("scenario")
         self.nodes: dict[str, Node] = {}
         for nid in mobile_ids:
@@ -188,13 +188,11 @@ class Run:
         is called for every successful reception."""
         now = self.sim.now
         pos = self.positions.pos(sender, now)
-        coords = self.positions.coords_at(now)
-        positions = {}
-        d = np.hypot(coords[:, 0] - pos[0], coords[:, 1] - pos[1])
-        near = np.flatnonzero(d <= self.cfg.radio.r_max)
-        for i in near:
-            positions[self.positions.ids[i]] = (float(coords[i, 0]), float(coords[i, 1]))
-        tx = self.channel.start_transmission(sender, pos, msg, msg.size, now, positions)
+        hears = reachable(pos, self.positions.coords_at(now), self.graph.obstacles,
+                          self.cfg.radio.r_max)
+        hears[self.positions.index[sender]] = False
+        receivers = [self.positions.ids[i] for i in np.flatnonzero(hears)]
+        tx = self.channel.start_transmission(sender, pos, msg.size, now, receivers)
         self.ledger.count_message(msg.kind)
 
         def resolve(_event: SimEvent) -> None:
@@ -370,7 +368,7 @@ class DisseminationRun(Run):
         state = node.msg_state.get(msg_id)
         if state is None or state.forwarded:
             return
-        stored = getattr(state, "stored_msg", None)
+        stored = state.stored_msg
         if stored is None or stored.ttl <= 0:
             return
         if self.sim.now > stored.created + self.cfg.warning.lifetime:
@@ -468,8 +466,7 @@ class DisseminationRun(Run):
             iid, d = self.graph.nearest_intersection(pos)
             if d <= rho and iid != state.last_relay_intersection:
                 state.last_relay_intersection = iid
-                self.forward_warning(node.id, dataclasses.replace(
-                    msg, ttl=msg.ttl, hops=msg.hops))
+                self.forward_warning(node.id, msg)
             self.sim.call_after(poll, tick, kind="timer-expiry")
 
         self.sim.call_after(poll, tick, kind="timer-expiry")
@@ -531,12 +528,10 @@ class DisseminationRun(Run):
             channel=1.0 - busy,
             collision_prob=self.channel.collision_prob(node.id, t)))
         fresh = self.fresh_neighbors(node, t)
-        fresh_ex = {nid: e for nid, e in fresh.items()}
         abe_norm = 1.0 - busy
         avails = [dis.availability(d_sr, cfg.radio.r_max, abe_norm)]
         neighbor_d_rint = []
-        for nid in sorted(fresh_ex):
-            e = fresh_ex[nid]
+        for _nid, e in sorted(fresh.items()):
             d_n = math.hypot(e.position[0] - sender_pos[0], e.position[1] - sender_pos[1])
             if d_n <= cfg.radio.r_max:
                 avails.append(dis.availability(
@@ -545,7 +540,7 @@ class DisseminationRun(Run):
             neighbor_d_rint.append(self.graph.nearest_intersection(e.position)[1])
         return dis.ReceptionContext(
             d_sr=d_sr, d_rint=d_rint, r_max=cfg.radio.r_max, lqf=quality,
-            n_candidates=len(fresh_ex), at_intersection=d_rint <= 10.0,
+            n_candidates=len(fresh), at_intersection=d_rint <= 10.0,
             intersection_id=iid, neighbor_d_rint=neighbor_d_rint,
             abe_norm=abe_norm, candidate_avails=avails)
 
@@ -681,11 +676,10 @@ class RoutingRun(Run):
         return nxt
 
     def transmit(self, holder_id: str, nxt: str, msg: Message, pos, now) -> None:
-        actual = self.positions.pos(nxt, now)
-        d = math.hypot(actual[0] - pos[0], actual[1] - pos[1])
+        actual = np.array([self.positions.pos(nxt, now)])
         self.ledger.count_message("data")
-        if d > self.cfg.radio.r_max:
-            return  # stale neighbor entry: transmission fails, packet lost
+        if not reachable(pos, actual, self.graph.obstacles, self.cfg.radio.r_max)[0]:
+            return  # stale neighbor entry or blocked: transmission fails, packet lost
         rng = self.channel.loss_rng
         target = self.nodes[nxt]
         # unicast MAC retries: a transient per-attempt loss only sinks the

@@ -37,6 +37,7 @@ def test_removed_game_knobs_are_rejected():
     removed = [({"game": {key: 1}}, f"game.{key}")
                for key in ("mechanism", "fg_tol", "fg_max_iters")]
     removed.append(({"mobility_dt": 0.5}, "mobility_dt"))
+    removed.append(({"obstacles": True}, "obstacles"))
     for data, path in removed:
         with pytest.raises(ConfigError, match=path):
             scenario_from_dict(data)
@@ -171,6 +172,18 @@ def test_channel_conservation_holds_after_a_run(tiny_cfg):
     ch = run.channel
     assert ch.receivable == ch.delivered + ch.lost_collision + ch.lost_link
     assert ch.receivable > 0
+
+
+def test_obstacle_blocking_builds_blocks_that_cut_receptions():
+    receivable = {}
+    for blocking in (False, True):
+        cfg = scenario_from_dict(dict(TINY_SCENARIO, radio=dict(
+            TINY_SCENARIO["radio"], obstacle_blocking=blocking)))
+        run = build_run(cfg, 30.0, "flooding-distance", 0)
+        run.execute()
+        assert len(run.graph.obstacles) == (16 if blocking else 0)
+        receivable[blocking] = run.channel.receivable
+    assert receivable[True] < receivable[False]
 
 
 def test_application_delivery_is_at_most_once_per_frame(tiny_cfg):

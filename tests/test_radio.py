@@ -1,16 +1,19 @@
-"""Link quality, adaptive beaconing, obstacle blocking and the shared channel."""
+"""Link quality, adaptive beaconing, reachability and the shared channel."""
 
 from __future__ import annotations
 
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from vanetsim.engine import Message, build_run
 from vanetsim.radio import (BUSY_WINDOW, Channel, LinkQualityInputs,
-                            RadioConfig, abe_estimate, atb_interval, in_range,
-                            lqf, segment_intersects_rect)
+                            RadioConfig, abe_estimate, atb_interval, lqf,
+                            reachable, segment_intersects_rect)
+from vanetsim.roadnet import make_grid_graph
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -79,28 +82,40 @@ def test_segment_rect_intersection_cases():
     assert not segment_intersects_rect((5.0, 5.0), (5.0, 5.0), rect)     # point outside
 
 
-class _GraphStub:
-    def __init__(self, obstacles):
-        self.obstacles = obstacles
-
-
 def test_in_range_distance_boundary():
-    cfg = RadioConfig(r_max=100.0)
-    assert in_range((0.0, 0.0), (100.0, 0.0), cfg)
-    assert not in_range((0.0, 0.0), (100.1, 0.0), cfg)
+    coords = np.array([(100.0, 0.0), (100.1, 0.0), (60.0, 80.0)])
+    assert reachable((0.0, 0.0), coords, [], 100.0).tolist() == [True, False, True]
+
+
+RECT = (10.0, 10.0, 20.0, 20.0)
+BLOCK = 200.0
+# the inset city blocks of a 3 x 3 block grid: the street on x = 200 runs
+# between the block faces on x = 195 and x = 205
+GRID_RECTS = make_grid_graph(3 * BLOCK, 3 * BLOCK, BLOCK, with_obstacles=True).obstacles
 
 
 def test_in_range_respects_obstacle_blocking():
-    cfg = RadioConfig(r_max=100.0, obstacle_blocking=True)
-    graph = _GraphStub([(40.0, -10.0, 60.0, 10.0)])
-    assert not in_range((0.0, 0.0), (100.0, 0.0), cfg, graph)
-    assert in_range((0.0, 50.0), (100.0, 50.0), cfg, graph)
-    # blocking disabled ignores the obstacle
-    assert in_range((0.0, 0.0), (100.0, 0.0), RadioConfig(r_max=100.0), graph)
+    cases = [
+        ((0.0, 0.0), (100.0, 0.0), [(40.0, -10.0, 60.0, 10.0)], False),  # crosses
+        ((0.0, 50.0), (100.0, 50.0), [(40.0, -10.0, 60.0, 10.0)], True),  # passes by
+        ((0.0, 0.0), (100.0, 0.0), [], True),          # no rectangles, no blocking
+        ((0.0, 10.0), (30.0, 10.0), [RECT], False),    # runs along a face
+        ((0.0, 20.0), (20.0, 0.0), [RECT], False),     # touches a corner only
+        ((0.0, 5.0), (30.0, 5.0), [RECT], True),       # parallel, outside
+        ((15.0, 15.0), (15.0, 15.0), [RECT], False),   # zero length, inside
+        ((5.0, 5.0), (5.0, 5.0), [RECT], True),        # zero length, outside
+    ]
+    for sender, p, rects, hears in cases:
+        assert reachable(sender, np.array([p]), rects, 100.0).tolist() == [hears]
+    # from a street centre line: ends on a face, runs along the street to
+    # exactly r_max, crosses a block, ends beyond r_max
+    coords = np.array([(195.0, 100.0), (200.0, 300.0), (400.0, 100.0), (200.0, 300.1)])
+    assert reachable((200.0, 100.0), coords, GRID_RECTS, BLOCK).tolist() == [
+        False, True, False, False]
 
 
-def make_channel(per_link_loss=0.0, r_max=100.0, bitrate=6e6, seed=0):
-    cfg = RadioConfig(r_max=r_max, bitrate=bitrate, per_link_loss=per_link_loss)
+def make_channel(per_link_loss=0.0, bitrate=6e6, seed=0):
+    cfg = RadioConfig(bitrate=bitrate, per_link_loss=per_link_loss)
     return Channel(cfg, np.random.default_rng(seed))
 
 
@@ -109,17 +124,21 @@ def test_airtime_is_size_over_bitrate():
     assert abs(ch.airtime(750) - 1e-3) < 1e-15
 
 
-def test_receiver_set_excludes_sender_and_out_of_range_nodes():
-    ch = make_channel()
-    positions = {"a": (0.0, 0.0), "b": (50.0, 0.0), "c": (500.0, 0.0)}
-    tx = ch.start_transmission("a", positions["a"], object(), 100, 0.0, positions)
-    assert set(tx.receivers) == {"b"}
+def test_receiver_set_excludes_sender_and_out_of_range_nodes(tiny_cfg):
+    run = build_run(tiny_cfg, 30.0, "flooding-distance", 0)
+    ids, coords = run.positions.ids, run.positions.coords_at(0.0)
+    for i, sender in enumerate(ids):
+        run.broadcast(sender, Message(f"m{i}", "warning", (0.0, 0.0), 0.0, 100, 1),
+                      lambda *_: None)
+        x, y = run.positions.pos(sender, 0.0)
+        assert run.channel.transmissions[-1].receivers == {
+            nid for nid, (px, py) in zip(ids, coords)
+            if nid != sender and math.hypot(px - x, py - y) <= tiny_cfg.radio.r_max}
 
 
 def test_lossless_isolated_transmission_delivers_to_everyone():
     ch = make_channel()
-    positions = {"a": (0.0, 0.0), "b": (50.0, 0.0), "c": (0.0, 80.0)}
-    tx = ch.start_transmission("a", positions["a"], object(), 100, 0.0, positions)
+    tx = ch.start_transmission("a", (0.0, 0.0), 100, 0.0, ["b", "c"])
     delivered, collided = ch.resolve(tx)
     assert delivered == ["b", "c"]
     assert collided == []
@@ -128,10 +147,9 @@ def test_lossless_isolated_transmission_delivers_to_everyone():
 
 def test_overlapping_transmissions_collide_at_shared_receivers():
     ch = make_channel()
-    positions = {"a": (0.0, 0.0), "b": (50.0, 0.0), "c": (100.0, 0.0)}
     # b hears both a and c; their airtimes overlap, so b loses both frames
-    tx1 = ch.start_transmission("a", positions["a"], object(), 1000, 0.0, positions)
-    tx2 = ch.start_transmission("c", positions["c"], object(), 1000, 0.0005, positions)
+    tx1 = ch.start_transmission("a", (0.0, 0.0), 1000, 0.0, ["b", "c"])
+    tx2 = ch.start_transmission("c", (100.0, 0.0), 1000, 0.0005, ["a", "b"])
     d1, c1 = ch.resolve(tx1)
     d2, c2 = ch.resolve(tx2)
     assert "b" in c1 and "b" in c2
@@ -142,10 +160,9 @@ def test_overlapping_transmissions_collide_at_shared_receivers():
 
 def test_disjoint_airtimes_do_not_collide():
     ch = make_channel()
-    positions = {"a": (0.0, 0.0), "b": (50.0, 0.0)}
-    tx1 = ch.start_transmission("a", positions["a"], object(), 100, 0.0, positions)
+    tx1 = ch.start_transmission("a", (0.0, 0.0), 100, 0.0, ["b"])
     ch.resolve(tx1)
-    tx2 = ch.start_transmission("a", positions["a"], object(), 100, 1.0, positions)
+    tx2 = ch.start_transmission("a", (0.0, 0.0), 100, 1.0, ["b"])
     delivered, collided = ch.resolve(tx2)
     assert delivered == ["b"] and collided == []
 
@@ -159,7 +176,10 @@ def test_channel_loss_accounting_is_conservative():
     t = 0.0
     for round_idx in range(60):
         sender = f"n{round_idx % 12}"
-        tx = ch.start_transmission(sender, nodes[sender], object(), 1500, t, nodes)
+        x, y = nodes[sender]
+        hearers = [n for n, (px, py) in nodes.items()
+                   if n != sender and math.hypot(px - x, py - y) <= 100.0]
+        tx = ch.start_transmission(sender, (x, y), 1500, t, hearers)
         pending.append(tx)
         if rng.random() < 0.6:   # sometimes let transmissions overlap
             t += 0.0001
@@ -176,9 +196,8 @@ def test_channel_loss_accounting_is_conservative():
 
 def test_busy_ratio_tracks_heard_airtime_and_expires():
     ch = make_channel(bitrate=6e6)
-    positions = {"a": (0.0, 0.0), "b": (50.0, 0.0)}
     air = ch.airtime(7500)  # 10 ms
-    ch.start_transmission("a", positions["a"], object(), 7500, 0.0, positions)
+    ch.start_transmission("a", (0.0, 0.0), 7500, 0.0, ["b"])
     assert abs(ch.busy_ratio("b", air) - air / BUSY_WINDOW) < 1e-12
     assert ch.busy_ratio("a", air) == 0.0          # senders do not hear themselves
     assert ch.busy_ratio("b", BUSY_WINDOW + 1.0) == 0.0
@@ -187,12 +206,11 @@ def test_busy_ratio_tracks_heard_airtime_and_expires():
 
 def test_collision_prob_is_the_windowed_collision_fraction():
     ch = make_channel()
-    positions = {"a": (0.0, 0.0), "b": (50.0, 0.0), "c": (100.0, 0.0)}
-    tx1 = ch.start_transmission("a", positions["a"], object(), 1000, 0.0, positions)
-    tx2 = ch.start_transmission("c", positions["c"], object(), 1000, 0.0005, positions)
+    tx1 = ch.start_transmission("a", (0.0, 0.0), 1000, 0.0, ["b", "c"])
+    tx2 = ch.start_transmission("c", (100.0, 0.0), 1000, 0.0005, ["a", "b"])
     ch.resolve(tx1)
     ch.resolve(tx2)
-    tx3 = ch.start_transmission("a", positions["a"], object(), 1000, 1.0, positions)
+    tx3 = ch.start_transmission("a", (0.0, 0.0), 1000, 1.0, ["b", "c"])
     ch.resolve(tx3)
     # b heard three frames, two of which collided
     assert abs(ch.collision_prob("b", 1.1) - 2.0 / 3.0) < 1e-12

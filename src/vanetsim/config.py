@@ -71,7 +71,6 @@ class RoutingParams:
 class WarningConfig:
     origin: Optional[tuple[float, float]] = None  # default: area center
     start_time: float = 5.0
-    frame_trace: Optional[str] = None  # path; None = synthetic trace
     frame_rate: float = 10.0           # frames/s for the synthetic trace
     mean_bitrate: float = 150e3        # bits/s for the synthetic trace
     duration: float = 10.0             # seconds of warning traffic
@@ -134,8 +133,6 @@ class ScenarioConfig:
             errors.append("alpha1 + alpha2 must equal 10")
         if self.rings != sorted(self.rings) or any(r <= 0 for r in self.rings):
             errors.append("rings must be positive and increasing")
-        if self.warning.frame_trace and not os.path.exists(self.warning.frame_trace):
-            errors.append(f"warning.frame_trace file not found: {self.warning.frame_trace}")
         if any(p in CTD_PROTOCOLS for p in base_protocols) and self.pedestrian_count <= 0:
             errors.append("pedestrian_count must be positive for CTD protocols")
         return errors
@@ -250,25 +247,3 @@ def synthetic_frame_trace(duration: float, frame_rate: float,
     base = mean_bitrate / frame_rate / 8.0 / mean_ratio  # bytes for ratio 1.0
     return [Frame(i, t, max(1, int(round(base * TYPE_SIZE_RATIO[t]))))
             for i, t in enumerate(types)]
-
-
-def load_frame_trace(path: str) -> list[Frame]:
-    frames = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "frame_index,frame_type,size_bytes":
-            raise ConfigError(f"bad frame trace header: {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            idx, ftype, size = line.split(",")
-            frames.append(Frame(int(idx), ftype, int(size)))
-    return frames
-
-
-def save_frame_trace(frames: list[Frame], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("frame_index,frame_type,size_bytes\n")
-        for f in frames:
-            fh.write(f"{f.index},{f.frame_type},{f.size_bytes}\n")

@@ -4,7 +4,7 @@ retransmission timer schemes, store-carry-forward, and baseline relays."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -187,17 +187,18 @@ DISSEMINATION_PROTOCOLS = (
 
 @dataclass
 class ReceptionContext:
-    """Everything a relay decision may look at, gathered by the engine."""
+    """What a relay decision looks at, gathered by the engine.  The two lists
+    are filled only for the rule that reads them."""
     d_sr: float                    # distance receiver-sender, meters
     d_rint: float                  # distance receiver-nearest intersection
     r_max: float
     lqf: float
     n_candidates: int              # fresh neighbors of the receiver (>= 0)
-    at_intersection: bool
-    intersection_id: int
-    neighbor_d_rint: list[float]   # candidates' distances to their nearest junction
     abe_norm: float
-    candidate_avails: list[float]  # availabilities of co-hearing candidates (incl self first)
+    # njl: candidates' distances to their nearest junction
+    neighbor_d_rint: list[float] = field(default_factory=list)
+    # add-fg: availabilities of co-hearing candidates, the receiver first
+    candidate_avails: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -208,7 +209,6 @@ class Decision:
 
 def decide_forward(protocol: str, ctx: ReceptionContext, game: GameConfig,
                    rng: np.random.Generator, *,
-                   d_threshold: Optional[float] = None,
                    alpha1: float = DEFAULT_ALPHA1,
                    alpha2: float = DEFAULT_ALPHA2) -> Decision:
     """First-reception relay decision for the one-shot protocols.
@@ -219,8 +219,7 @@ def decide_forward(protocol: str, ctx: ReceptionContext, game: GameConfig,
     if ctx.n_candidates == 0 and protocol != "njl":
         return Decision("store")
     if protocol == "flooding-distance":
-        thresh = 0.8 * ctx.r_max if d_threshold is None else d_threshold
-        return Decision("forward" if ctx.d_sr > thresh else "suppress")
+        return Decision("forward" if ctx.d_sr > 0.8 * ctx.r_max else "suppress")
     if protocol == "njl":
         if all(ctx.d_rint <= other + 1e-12 for other in ctx.neighbor_d_rint):
             return Decision("forward")

@@ -13,7 +13,7 @@ import numpy as np
 from . import dissemination as dis
 from . import routing as rt
 from .config import (CTD_PROTOCOLS, ROUTING_PROTOCOLS, ScenarioConfig, Frame,
-                     expand_protocol, load_frame_trace, synthetic_frame_trace)
+                     expand_protocol, synthetic_frame_trace)
 from .ctd import Alert, majority_confirms, passive_accept, reply_draw
 from .metrics import MetricsLedger
 from .radio import (Channel, LinkQualityInputs, abe_estimate, atb_interval, lqf,
@@ -198,10 +198,9 @@ class Run:
         def resolve(_event: SimEvent) -> None:
             delivered, _collided = self.channel.resolve(tx)
             self.ledger.collisions = self.channel.collision_events
-            for receiver in delivered:
-                node = self.nodes[receiver]
-                if node.mac_loss > 0 and self.channel.loss_rng.random() < node.mac_loss:
-                    continue
+            received = self.channel.mac_survivors(
+                delivered, [self.nodes[r].mac_loss for r in delivered])
+            for receiver in received:
                 on_delivery(receiver, msg, tx.end, tx.pos)
 
         self.sim.call_at(tx.end, resolve, kind="transmit-end")
@@ -295,12 +294,8 @@ class DisseminationRun(Run):
     def execute(self) -> MetricsLedger:
         cfg = self.cfg
         self.start_beacons()
-        if cfg.warning.frame_trace:
-            frames = load_frame_trace(cfg.warning.frame_trace)
-        else:
-            frames = synthetic_frame_trace(cfg.warning.duration,
-                                           cfg.warning.frame_rate,
-                                           cfg.warning.mean_bitrate)
+        frames = synthetic_frame_trace(cfg.warning.duration, cfg.warning.frame_rate,
+                                       cfg.warning.mean_bitrate)
         for frame in frames:
             t = cfg.warning.start_time + frame.index / cfg.warning.frame_rate
             if t > cfg.duration:
@@ -382,7 +377,7 @@ class DisseminationRun(Run):
         if node.kind != "vehicle":
             return
         if msg.id in node.seen:
-            self.ledger.record_duplicate(t)
+            self.ledger.record_duplicate()
             return
         node.seen.add(msg.id)
         self.reached.add(receiver)
@@ -518,31 +513,32 @@ class DisseminationRun(Run):
                           sender_pos: tuple[float, float]) -> dis.ReceptionContext:
         """d_sr is the distance to the hop sender's position at transmit start."""
         cfg = self.cfg
+        r_max = cfg.radio.r_max
         pos = self.positions.pos(node.id, t)
-        d_sr = min(cfg.radio.r_max,
-                   math.hypot(pos[0] - sender_pos[0], pos[1] - sender_pos[1]))
-        iid, d_rint = self.graph.nearest_intersection(pos)
+        d_sr = min(r_max, math.hypot(pos[0] - sender_pos[0], pos[1] - sender_pos[1]))
+        _iid, d_rint = self.graph.nearest_intersection(pos)
         busy = self.busy(node.id)
         quality = lqf(LinkQualityInputs(
-            signal=max(0.0, 1.0 - d_sr / cfg.radio.r_max),
+            signal=max(0.0, 1.0 - d_sr / r_max),
             channel=1.0 - busy,
             collision_prob=self.channel.collision_prob(node.id, t)))
         fresh = self.fresh_neighbors(node, t)
         abe_norm = 1.0 - busy
-        avails = [dis.availability(d_sr, cfg.radio.r_max, abe_norm)]
-        neighbor_d_rint = []
-        for _nid, e in sorted(fresh.items()):
-            d_n = math.hypot(e.position[0] - sender_pos[0], e.position[1] - sender_pos[1])
-            if d_n <= cfg.radio.r_max:
-                avails.append(dis.availability(
-                    d_n, cfg.radio.r_max,
-                    min(1.0, e.advertised_abe / cfg.radio.bitrate)))
-            neighbor_d_rint.append(self.graph.nearest_intersection(e.position)[1])
-        return dis.ReceptionContext(
-            d_sr=d_sr, d_rint=d_rint, r_max=cfg.radio.r_max, lqf=quality,
-            n_candidates=len(fresh), at_intersection=d_rint <= 10.0,
-            intersection_id=iid, neighbor_d_rint=neighbor_d_rint,
-            abe_norm=abe_norm, candidate_avails=avails)
+        ctx = dis.ReceptionContext(d_sr=d_sr, d_rint=d_rint, r_max=r_max,
+                                   lqf=quality, n_candidates=len(fresh),
+                                   abe_norm=abe_norm)
+        if self.protocol == "njl":
+            ctx.neighbor_d_rint = [self.graph.nearest_intersection(e.position)[1]
+                                   for _nid, e in sorted(fresh.items())]
+        elif self.protocol == "add-fg":
+            avails = ctx.candidate_avails = [dis.availability(d_sr, r_max, abe_norm)]
+            for _nid, e in sorted(fresh.items()):
+                d_n = math.hypot(e.position[0] - sender_pos[0],
+                                 e.position[1] - sender_pos[1])
+                if d_n <= r_max:
+                    avails.append(dis.availability(
+                        d_n, r_max, min(1.0, e.advertised_abe / cfg.radio.bitrate)))
+        return ctx
 
 
 # --- routing runs -----------------------------------------------------------
@@ -759,7 +755,7 @@ class CtdRun(Run):
     def on_flood_alert(self, receiver: str, msg: Message, t: float, _sender_pos) -> None:
         node = self.nodes[receiver]
         if msg.id in node.seen:
-            self.ledger.record_duplicate(t)
+            self.ledger.record_duplicate()
             return
         node.seen.add(msg.id)
         self.reached.add(receiver)
@@ -817,7 +813,7 @@ class CtdRun(Run):
         node = self.nodes[receiver]
         alert: Alert = msg.payload
         if msg.id in node.seen:
-            self.ledger.record_duplicate(t)
+            self.ledger.record_duplicate()
             return
         seen_alerts = [self.alerts[a] for a in node.seen
                        if isinstance(a, str) and a in self.alerts]
@@ -825,7 +821,7 @@ class CtdRun(Run):
         node.seen.add(msg.id)
         self.alerts.setdefault(alert.id, alert)
         if dup:
-            self.ledger.record_duplicate(t)
+            self.ledger.record_duplicate()
             return
         self.reached.add(receiver)
         if action == "rebroadcast":

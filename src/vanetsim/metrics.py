@@ -27,12 +27,11 @@ class MetricsLedger:
 
     rings: tuple[float, ...] = DEFAULT_RINGS
     per_ring: dict[float, RingCounters] = field(default_factory=dict)
-    duplicates_series: list[tuple[float, int]] = field(default_factory=list)
     collisions: int = 0
     messages_by_kind: dict[str, int] = field(default_factory=dict)
     scf_stores: int = 0
     extras: dict[str, float] = field(default_factory=dict)
-    _dup_total: int = 0
+    duplicates_total: int = 0
 
     def ring_for(self, distance: float) -> Optional[float]:
         for upper in self.rings:
@@ -49,13 +48,8 @@ class MetricsLedger:
     def count_message(self, kind: str) -> None:
         self.messages_by_kind[kind] = self.messages_by_kind.get(kind, 0) + 1
 
-    def record_duplicate(self, t: float) -> None:
-        self._dup_total += 1
-        self.duplicates_series.append((t, self._dup_total))
-
-    @property
-    def duplicates_total(self) -> int:
-        return self._dup_total
+    def record_duplicate(self) -> None:
+        self.duplicates_total += 1
 
     def check_invariants(self) -> None:
         for ring, c in self.per_ring.items():
@@ -63,11 +57,6 @@ class MetricsLedger:
                 raise AssertionError(f"ring {ring}: delivered > sent")
             if c.packets_delivered != c.delay_count:
                 raise AssertionError(f"ring {ring}: delay_count != packets_delivered")
-        last = 0
-        for _t, cum in self.duplicates_series:
-            if cum < last:
-                raise AssertionError("duplicates series not non-decreasing")
-            last = cum
 
 
 def fdr(ledger: MetricsLedger, ring: float) -> Optional[float]:

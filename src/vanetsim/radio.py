@@ -3,7 +3,7 @@ collision model, channel-load accounting, link quality and adaptive beaconing.""
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,22 +123,26 @@ class Channel:
 
     Tracks in-flight transmissions for the collision check, per-node heard
     airtime for the busy ratio, and the exact loss-accounting counters
-    (receivable = delivered + lost to collision + lost to link).
+    (receivable = delivered + lost to collision + lost to link; MAC loss is
+    counted apart, among the delivered).
     """
 
     def __init__(self, cfg: RadioConfig, loss_rng: np.random.Generator):
         self.cfg = cfg
         self.loss_rng = loss_rng
         self.transmissions: deque[Transmission] = deque()
-        self._heard: dict[str, deque[tuple[float, float]]] = {}
+        # per-node logs, created on a node's first reception
+        self._heard: defaultdict[str, deque[tuple[float, float]]] = defaultdict(deque)
         self._heard_sum: dict[str, float] = {}
-        self._collision_hist: dict[str, deque[tuple[float, int]]] = {}
+        self._collision_hist: defaultdict[str, deque[tuple[float, int]]] = \
+            defaultdict(deque)
         self._collision_sum: dict[str, int] = {}
         self._max_air = 0.0
         self.receivable = 0
         self.delivered = 0
         self.lost_collision = 0
         self.lost_link = 0
+        self.lost_mac = 0
         self.collision_events = 0
 
     def airtime(self, size_bytes: int) -> float:
@@ -163,46 +167,68 @@ class Channel:
         end = now + air
         tx = Transmission(sender, pos, now, end, frozenset(receivers))
         self.transmissions.append(tx)
+        heard, heard_sum, entry = self._heard, self._heard_sum, (end, air)
         for node in receivers:
-            self._heard.setdefault(node, deque()).append((end, air))
-            self._heard_sum[node] = self._heard_sum.get(node, 0.0) + air
+            heard[node].append(entry)
+            heard_sum[node] = heard_sum.get(node, 0.0) + air
         return tx
 
     def resolve(self, tx: Transmission) -> tuple[list[str], list[str]]:
         """Decide deliveries at the end of a transmission's airtime.
 
-        A candidate whose reception window overlaps another transmission it can
-        hear loses both frames; survivors suffer independent per-link loss.
-        Returns (delivered receivers, collided receivers) in sorted order.
+        A candidate that also hears another transmission overlapping this
+        one's airtime loses both frames.  Each group of colliding frames at a
+        receiver is one collision event, counted at its earliest-ending
+        member.  Survivors suffer independent per-link loss, drawn in one
+        batch in receiver order.  Returns (delivered receivers, collided
+        receivers) in sorted order.
         """
-        delivered, collided = [], []
         overlapping = [
             t for t in self.transmissions
             if t is not tx and t.start < tx.end and t.end > tx.start
         ]
-        for node in sorted(tx.receivers):
-            self.receivable += 1
-            clash = [t for t in overlapping if node in t.receivers]
-            hist = self._collision_hist.setdefault(node, deque())
-            if clash:
-                self.lost_collision += 1
-                collided.append(node)
-                hist.append((tx.end, 1))
+        clashing = tx.receivers & set().union(*(t.receivers for t in overlapping))
+        receivers = sorted(tx.receivers)
+        self.receivable += len(receivers)
+        hist, hit, miss = self._collision_hist, (tx.end, 1), (tx.end, 0)
+        if clashing:
+            collided = [n for n in receivers if n in clashing]
+            clear = [n for n in receivers if n not in clashing]
+            for node in collided:
+                hist[node].append(hit)
                 self._collision_sum[node] = self._collision_sum.get(node, 0) + 1
-                # count the event once per colliding group, at the
-                # earliest-ending member
-                if all((tx.end, tx.start, tx.sender) <= (t.end, t.start, t.sender)
-                       for t in clash):
-                    self.collision_events += 1
-                continue
-            hist.append((tx.end, 0))
-            if self.cfg.per_link_loss > 0 and \
-                    self.loss_rng.random() < self.cfg.per_link_loss:
-                self.lost_link += 1
-                continue
-            self.delivered += 1
-            delivered.append(node)
+        else:
+            collided, clear = [], receivers
+        for node in clear:
+            hist[node].append(miss)
+        if collided:
+            self.lost_collision += len(collided)
+            # a receiver that also hears an overlapping frame ending before
+            # this one counts the event there, not here
+            first = (tx.end, tx.start, tx.sender)
+            earlier = set().union(*(t.receivers for t in overlapping
+                                    if (t.end, t.start, t.sender) < first))
+            self.collision_events += len(clashing - earlier)
+        p = self.cfg.per_link_loss
+        if p > 0 and clear:
+            lost = (self.loss_rng.random(len(clear)) < p).tolist()
+            delivered = [n for n, gone in zip(clear, lost) if not gone]
+            self.lost_link += len(clear) - len(delivered)
+        else:
+            delivered = clear
+        self.delivered += len(delivered)
         return delivered, collided
+
+    def mac_survivors(self, delivered: list[str], mac_loss: list[float]) -> list[str]:
+        """The delivered receivers that their own MAC does not drop: one loss
+        draw per receiver with mac_loss > 0, in one batch in list order."""
+        lossy = [k for k, p in enumerate(mac_loss) if p > 0]
+        if not lossy:
+            return delivered
+        draws = self.loss_rng.random(len(lossy)).tolist()
+        dropped = {k for k, u in zip(lossy, draws) if u < mac_loss[k]}
+        self.lost_mac += len(dropped)
+        return [n for k, n in enumerate(delivered) if k not in dropped]
 
     def busy_ratio(self, node: str, now: float) -> float:
         heard = self._heard.get(node)

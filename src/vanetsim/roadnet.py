@@ -42,15 +42,14 @@ class RoadGraph:
 
     def __init__(self, intersections: Iterable[Intersection],
                  segments: Iterable[Segment],
-                 obstacles: Iterable[tuple[float, float, float, float]] = ()):
+                 obstacles: Iterable[tuple[float, float, float, float]] = (),
+                 grid: Optional[tuple[float, int, int]] = None):
         self.intersections = {i.id: i for i in intersections}
         self.segments = list(segments)
         self.obstacles = [tuple(map(float, o)) for o in obstacles]
-        self._ids = np.array(sorted(self.intersections), dtype=np.int64)
-        self._coords = np.array(
-            [[self.intersections[i].x, self.intersections[i].y] for i in self._ids],
-            dtype=float,
-        ).reshape(-1, 2)
+        # (block_size, n_cols, n_rows) of a make_grid_graph Manhattan grid,
+        # whose junction j * n_cols + i sits at (i * block_size, j * block_size)
+        self.grid = grid
         self._nx: Optional[nx.Graph] = None
 
     def validate(self) -> None:
@@ -84,12 +83,25 @@ class RoadGraph:
         return self._nx
 
     def nearest_intersection(self, p: tuple[float, float]) -> tuple[int, float]:
-        """Closest intersection by Euclidean distance; ties broken by lowest id."""
-        d = np.hypot(self._coords[:, 0] - p[0], self._coords[:, 1] - p[1])
-        best = d.min()
-        # ids array is sorted, so the first index at the minimum is the lowest id
-        idx = int(np.flatnonzero(d == best)[0])
-        return int(self._ids[idx]), float(best)
+        """Closest intersection by Euclidean distance; ties broken by lowest id.
+
+        On the grid the closest junction is a corner of the block cell that
+        holds p (clamped to the grid), so only those four are measured, with
+        np.hypot and in id order: the same distances and tie-breaks as a scan
+        over every junction.
+        """
+        if self.grid is None:
+            raise RoadGraphError("nearest_intersection needs a make_grid_graph grid")
+        block, n_cols, n_rows = self.grid
+        x, y = p
+        i = min(max(math.floor(x / block), 0), n_cols - 2)
+        j = min(max(math.floor(y / block), 0), n_rows - 2)
+        dx0, dx1 = i * block - x, (i + 1) * block - x
+        dy0, dy1 = j * block - y, (j + 1) * block - y
+        # corners in id order, so argmin's first minimum is the lowest id
+        d = np.hypot((dx0, dx1, dx0, dx1), (dy0, dy0, dy1, dy1))
+        k = int(d.argmin())
+        return (j + k // 2) * n_cols + i + k % 2, float(d[k])
 
     def is_at_intersection(self, p: tuple[float, float],
                            radius: float = DEFAULT_INTERSECTION_RADIUS) -> bool:
@@ -132,7 +144,8 @@ def make_grid_graph(area_width: float, area_height: float, block_size: float,
                 y1 = (j + 1) * block_size - OBSTACLE_INSET
                 if x1 > x0 and y1 > y0:
                     obstacles.append((x0, y0, x1, y1))
-    graph = RoadGraph(intersections, segments, obstacles)
+    graph = RoadGraph(intersections, segments, obstacles,
+                      grid=(block_size, nx_cols, ny_rows))
     graph.validate()
     return graph
 

@@ -127,9 +127,7 @@ def test_ac3_game_rules_match_theory():
     game = GameConfig(cost_k=1.0, fg_benefit=2.0, fg_cost=1.0)
     d_rint = 1.0 / 19.0                            # df = 1 - d/(d+1) = 0.95
     ctx = ReceptionContext(d_sr=150.0, d_rint=d_rint, r_max=300.0, lqf=1.0,
-                           n_candidates=3, at_intersection=False,
-                           intersection_id=0, neighbor_d_rint=[],
-                           abe_norm=0.5, candidate_avails=[])
+                           n_candidates=3, abe_norm=0.5)
     df = distance_factor(ctx.d_sr, ctx.d_rint, ctx.r_max)
     p = vod_forward_probability(utility(UtilityInputs(df, ctx.lqf, 6.0, 4.0)),
                                 ctx.n_candidates, game.cost_k)

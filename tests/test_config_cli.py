@@ -10,8 +10,7 @@ import pytest
 
 from vanetsim import cli
 from vanetsim.config import (ConfigError, expand_protocol, list_presets,
-                             load_frame_trace, load_scenario, preset_path,
-                             resolve_scenario, save_frame_trace,
+                             load_scenario, preset_path, resolve_scenario,
                              scenario_from_dict, synthetic_frame_trace)
 from vanetsim.engine import build_run, execute_run
 from vanetsim.report import run_metrics
@@ -38,6 +37,7 @@ def test_removed_game_knobs_are_rejected():
                for key in ("mechanism", "fg_tol", "fg_max_iters")]
     removed.append(({"mobility_dt": 0.5}, "mobility_dt"))
     removed.append(({"obstacles": True}, "obstacles"))
+    removed.append(({"warning": {"frame_trace": "frames.csv"}}, "warning.frame_trace"))
     for data, path in removed:
         with pytest.raises(ConfigError, match=path):
             scenario_from_dict(data)
@@ -126,34 +126,6 @@ def test_synthetic_trace_follows_the_gop_pattern_and_bitrate():
     p_size = frames[3].size_bytes
     b_size = frames[1].size_bytes
     assert i_size > p_size > b_size
-
-
-def test_frame_trace_file_round_trip(tmp_path):
-    frames = synthetic_frame_trace(1.0, 10.0, 80_000.0)
-    path = tmp_path / "frames.csv"
-    save_frame_trace(frames, str(path))
-    header = path.read_text(encoding="utf-8").splitlines()[0]
-    assert header == "frame_index,frame_type,size_bytes"
-    assert load_frame_trace(str(path)) == frames
-
-
-def test_frame_trace_rejects_bad_header(tmp_path):
-    path = tmp_path / "frames.csv"
-    path.write_text("idx,kind,bytes\n0,I,100\n", encoding="utf-8")
-    with pytest.raises(ConfigError):
-        load_frame_trace(str(path))
-
-
-def test_frame_trace_file_feeds_the_warning_source(tmp_path, tiny_cfg):
-    frames = synthetic_frame_trace(0.5, 10.0, 30_000.0)
-    path = tmp_path / "frames.csv"
-    save_frame_trace(frames, str(path))
-    tiny_cfg.warning.frame_trace = str(path)
-    run = build_run(tiny_cfg, 30.0, "flooding-distance", 0)
-    ledger = run.execute()
-    # each frame is accounted once per vehicle that should receive it
-    sent = sum(c.frames_sent for c in ledger.per_ring.values())
-    assert sent == len(frames) * len(run.vehicle_ids)
 
 
 # --- run-level invariants ---------------------------------------------------

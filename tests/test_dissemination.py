@@ -273,9 +273,7 @@ def test_timer_input_validation():
 
 def ctx(**overrides):
     base = dict(d_sr=250.0, d_rint=400.0, r_max=300.0, lqf=0.8, n_candidates=4,
-                at_intersection=False, intersection_id=0,
-                neighbor_d_rint=[50.0, 80.0], abe_norm=0.5,
-                candidate_avails=[])
+                abe_norm=0.5, neighbor_d_rint=[50.0, 80.0])
     base.update(overrides)
     return ReceptionContext(**base)
 
@@ -291,8 +289,6 @@ def test_distance_flooding_threshold_is_strict():
     g = game()
     assert decide_forward("flooding-distance", ctx(d_sr=241.0), g, rng).action == "forward"
     assert decide_forward("flooding-distance", ctx(d_sr=240.0), g, rng).action == "suppress"
-    assert decide_forward("flooding-distance", ctx(d_sr=100.0), g, rng,
-                          d_threshold=50.0).action == "forward"
 
 
 def test_junction_rule_forwards_only_the_closest_to_a_junction():

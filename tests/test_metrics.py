@@ -40,10 +40,9 @@ def test_mean_delay_ignores_lost_packets_by_construction():
 
 def test_duplicate_series_is_cumulative():
     ledger = MetricsLedger()
-    ledger.record_duplicate(1.0)
-    ledger.record_duplicate(2.5)
+    ledger.record_duplicate()
+    ledger.record_duplicate()
     assert ledger.duplicates_total == 2
-    assert ledger.duplicates_series == [(1.0, 1), (2.5, 2)]
     ledger.check_invariants()
 
 
@@ -52,11 +51,6 @@ def test_invariant_check_rejects_impossible_counters():
     c = ledger.counters(300.0)
     c.frames_sent = 1
     c.frames_delivered = 2
-    with pytest.raises(AssertionError):
-        ledger.check_invariants()
-
-    ledger = MetricsLedger()
-    ledger.duplicates_series = [(1.0, 3), (2.0, 1)]
     with pytest.raises(AssertionError):
         ledger.check_invariants()
 

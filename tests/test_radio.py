@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -215,3 +216,117 @@ def test_collision_prob_is_the_windowed_collision_fraction():
     # b heard three frames, two of which collided
     assert abs(ch.collision_prob("b", 1.1) - 2.0 / 3.0) < 1e-12
     assert ch.collision_prob("unknown", 1.1) == 0.0
+
+
+# --- batched channel against the per-receiver reference ----------------------
+
+class ScalarChannel(Channel):
+    """The plain channel the batched one replaced: a clash list and a scalar
+    loss draw per receiver, then one scalar MAC draw per delivered receiver."""
+
+    def resolve(self, tx):
+        delivered, collided = [], []
+        overlapping = [
+            t for t in self.transmissions
+            if t is not tx and t.start < tx.end and t.end > tx.start
+        ]
+        for node in sorted(tx.receivers):
+            self.receivable += 1
+            clash = [t for t in overlapping if node in t.receivers]
+            hist = self._collision_hist.setdefault(node, deque())
+            if clash:
+                self.lost_collision += 1
+                collided.append(node)
+                hist.append((tx.end, 1))
+                self._collision_sum[node] = self._collision_sum.get(node, 0) + 1
+                if all((tx.end, tx.start, tx.sender) <= (t.end, t.start, t.sender)
+                       for t in clash):
+                    self.collision_events += 1
+                continue
+            hist.append((tx.end, 0))
+            if self.cfg.per_link_loss > 0 and \
+                    self.loss_rng.random() < self.cfg.per_link_loss:
+                self.lost_link += 1
+                continue
+            self.delivered += 1
+            delivered.append(node)
+        return delivered, collided
+
+    def mac_survivors(self, delivered, mac_loss):
+        received = []
+        for node, p in zip(delivered, mac_loss):
+            if p > 0 and self.loss_rng.random() < p:
+                self.lost_mac += 1
+                continue
+            received.append(node)
+        return received
+
+
+NODES = [f"n{i}" for i in range(8)]
+COUNTERS = ("receivable", "delivered", "lost_collision", "lost_link", "lost_mac",
+            "collision_events")
+
+# start slots of 0.5 ms and airtimes of 0.5 or 1 ms make overlaps, shared
+# receivers and equal end times common; a slot past the busy window prunes
+schedule = st.lists(
+    st.tuples(st.sampled_from(NODES),
+              st.one_of(st.integers(0, 12), st.just(20_000)),
+              st.sampled_from([375, 750]),
+              st.sets(st.sampled_from(NODES))),
+    min_size=1, max_size=25)
+
+
+@given(schedule, st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+       st.lists(st.sampled_from([0.0, 0.1, 0.6]), min_size=8, max_size=8),
+       st.integers(0, 2**32 - 1))
+def test_batched_resolve_matches_the_per_receiver_reference(txs, per_link_loss,
+                                                             mac, seed):
+    mac_loss = dict(zip(NODES, mac))
+    channels = [cls(RadioConfig(per_link_loss=per_link_loss),
+                    np.random.default_rng(seed)) for cls in (Channel, ScalarChannel)]
+    # (time, 0 = start / 1 = end, order): starts and ends interleave by time
+    events = []
+    for k, (sender, slot, size, hearers) in enumerate(txs):
+        start = slot * 0.0005
+        events.append((start, 0, k))
+        events.append((start + channels[0].airtime(size), 1, k))
+    started = [{}, {}]
+    for t, kind, k in sorted(events):
+        sender, _slot, size, hearers = txs[k]
+        if kind == 0:
+            for ch, live in zip(channels, started):
+                live[k] = ch.start_transmission(sender, (0.0, 0.0), size, t,
+                                                sorted(hearers - {sender}))
+            continue
+        outcomes = []
+        for ch, live in zip(channels, started):
+            delivered, collided = ch.resolve(live[k])
+            received = ch.mac_survivors(delivered, [mac_loss[n] for n in delivered])
+            outcomes.append((delivered, collided, received,
+                             [ch.collision_prob(n, t) for n in NODES],
+                             [ch.busy_ratio(n, t) for n in NODES]))
+        assert outcomes[0] == outcomes[1]
+    fast, plain = channels
+    for name in COUNTERS:
+        assert getattr(fast, name) == getattr(plain, name), name
+    assert fast.loss_rng.bit_generator.state == plain.loss_rng.bit_generator.state
+
+
+def test_every_delivery_the_mac_keeps_reaches_the_application(tiny_cfg):
+    run = build_run(tiny_cfg, 30.0, "flooding-distance", 0)
+    calls = 0
+    broadcast = run.broadcast
+
+    def counting_broadcast(sender, msg, on_delivery):
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            on_delivery(*args)
+
+        broadcast(sender, msg, counted)
+
+    run.broadcast = counting_broadcast
+    run.execute()
+    ch = run.channel
+    assert ch.lost_mac > 0
+    assert calls == ch.delivered - ch.lost_mac

@@ -59,19 +59,6 @@ def test_validate_rejects_disconnected_graph():
         graph.validate()
 
 
-def test_nearest_intersection_matches_brute_force():
-    graph = make_grid_graph(1000.0, 600.0, 200.0)
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        p = (float(rng.uniform(0, 1000)), float(rng.uniform(0, 600)))
-        best = min(graph.intersections.values(),
-                   key=lambda i: math.hypot(i.x - p[0], i.y - p[1]))
-        nid, dist = graph.nearest_intersection(p)
-        found = graph.intersections[nid]
-        assert math.isclose(dist, math.hypot(found.x - p[0], found.y - p[1]))
-        assert math.isclose(dist, math.hypot(best.x - p[0], best.y - p[1]))
-
-
 def test_is_at_intersection_radius_boundary():
     graph = make_grid_graph(400.0, 400.0, 200.0)
     corner = graph.intersections[0]
@@ -129,3 +116,40 @@ def test_random_trips_stay_on_streets_within_their_speed_band(seed):
     assert ((V >= lo) & (V <= hi)).all()
     step = np.hypot(np.diff(X, axis=0), np.diff(Y, axis=0))
     assert (step <= hi * MOBILITY_DT + 1e-9).all()
+
+
+def scan_nearest(graph: RoadGraph, p: tuple[float, float]) -> tuple[int, float]:
+    """The plain lookup the grid arithmetic replaced: np.hypot to every
+    junction, lowest id among the closest."""
+    ids = np.array(sorted(graph.intersections))
+    coords = np.array([[graph.intersections[i].x, graph.intersections[i].y]
+                       for i in ids])
+    d = np.hypot(coords[:, 0] - p[0], coords[:, 1] - p[1])
+    best = d.min()
+    return int(ids[np.flatnonzero(d == best)[0]]), float(best)
+
+
+def grid_coordinate(block: float):
+    """Half-block multiples (junctions and ties) from 3 blocks before the grid
+    to past its far edge, each moved by nothing, by 1e-9 m, by a few ulps or
+    anywhere within half a block."""
+    def place(k, offset, ulps):
+        v = k * block / 2.0 + offset
+        for _ in range(abs(ulps)):
+            v = float(np.nextafter(v, math.copysign(math.inf, ulps)))
+        return v
+
+    offsets = st.one_of(st.sampled_from([0.0, 1e-9, -1e-9]),
+                        st.floats(-block / 2.0, block / 2.0))
+    return st.builds(place, st.integers(-6, 40), offsets, st.integers(-3, 3))
+
+
+@given(st.sampled_from([100.0, 137.3, 170.0, 200.0, 250.0]).flatmap(
+    lambda block: st.tuples(
+        st.just(block),
+        st.integers(2, 8), st.integers(2, 8), st.sampled_from([0.0, 0.5]),
+        grid_coordinate(block), grid_coordinate(block))))
+def test_nearest_intersection_matches_brute_force(case):
+    block, cols, rows, spare, x, y = case
+    graph = make_grid_graph((cols + spare) * block, (rows + spare) * block, block)
+    assert graph.nearest_intersection((x, y)) == scan_nearest(graph, (x, y))

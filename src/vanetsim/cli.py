@@ -23,14 +23,17 @@ def _run_one(args: tuple[ScenarioConfig, str, float, int]
 def run_sweep(cfg: ScenarioConfig, jobs: int = 1
               ) -> dict[tuple[str, float, int], MetricsLedger]:
     densities = cfg.densities or [0.0]
+    # the protocols of one (density, seed) replay one memoized walk, so they
+    # run back to back, and a pool worker takes the whole group as one chunk
     tasks = [(cfg, protocol, density, seed)
-             for protocol in cfg.protocols
              for density in densities
-             for seed in cfg.seeds]
+             for seed in cfg.seeds
+             for protocol in cfg.protocols]
     results: dict[tuple[str, float, int], MetricsLedger] = {}
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for key, ledger in pool.map(_run_one, tasks):
+            for key, ledger in pool.map(_run_one, tasks,
+                                        chunksize=len(cfg.protocols)):
                 results[key] = ledger
     else:
         for task in tasks:
@@ -92,7 +95,8 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--seeds", help="comma-separated seed override")
     p_run.add_argument("--out", default="out", help="report output directory")
     p_run.add_argument("--jobs", type=int, default=1,
-                       help="parallel runs (results are order-independent)")
+                       help="worker processes; each runs whole (density, seed) "
+                            "groups (results are order-independent)")
     p_run.set_defaults(func=cmd_run)
 
     p_val = sub.add_parser("validate", help="check a scenario config")

@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -16,8 +17,7 @@ from .config import (CTD_PROTOCOLS, ROUTING_PROTOCOLS, ScenarioConfig, Frame,
                      expand_protocol, synthetic_frame_trace)
 from .ctd import Alert, majority_confirms, passive_accept, reply_draw
 from .metrics import MetricsLedger
-from .radio import (Channel, LinkQualityInputs, abe_estimate, atb_interval, lqf,
-                    reachable)
+from .radio import Channel, LinkQualityInputs, abe_estimate, lqf, reachable
 from .roadnet import MOBILITY_DT, generate_grid
 from .simcore import RngStreams, SimEvent, Simulator
 
@@ -27,6 +27,8 @@ REPLY_SIZE = 64
 PROC_DELAY = 0.002       # per-hop forwarding latency beyond airtime, seconds
 MAC_LOSS_MAX = 0.25      # intrinsic per-vehicle MAC loss upper bound
 DATA_MAC_RETRIES = 3     # unicast attempts per data hop before giving up
+JSF_JUNCTION_RADIUS = 10.0  # metres: a JSF holder within this of a junction relays
+TIMER_V_MAX = 14.0       # m/s: timer-relay speeds are capped here
 
 
 @dataclass
@@ -167,6 +169,13 @@ class Run:
 
     # --- shared machinery ---------------------------------------------------
 
+    def run_to_horizon(self) -> None:
+        """Process the events up to the horizon and drop those queued past it.
+        Their handlers refer to this run, so keeping them would tie the
+        finished run into a reference cycle that only the cyclic GC frees."""
+        self.sim.run_until(self.cfg.duration)
+        self.sim.clear()
+
     def next_msg_id(self, prefix: str) -> str:
         self.msg_counter += 1
         return f"{prefix}{self.msg_counter}"
@@ -244,31 +253,21 @@ class Run:
             p["density"], p["abe"], p["mac_loss"], t)
         return is_new
 
-    def start_beacons(self, ids: Optional[list[str]] = None, atb: bool = False,
-                      i_min: float = 0.1, i_max: float = 1.0) -> None:
+    def start_beacons(self) -> None:
         interval = self.cfg.routing.hello_interval
-        for nid in sorted(ids if ids is not None else self.nodes):
+        for nid in sorted(self.nodes):
             phase = float(self.jitter_rng.uniform(0.0, interval))
-            self.sim.call_at(phase, self._make_beacon(nid, interval, atb, i_min, i_max),
-                             kind="beacon")
+            self.sim.call_at(phase, partial(self._beacon, nid), kind="beacon")
 
-    def _make_beacon(self, nid: str, interval: float, atb: bool,
-                     i_min: float, i_max: float):
-        def beacon(event: SimEvent) -> None:
-            node = self.nodes[nid]
-            now = self.sim.now
-            self.on_beacon_tick(node, now)
-            msg = self.make_hello(node, now)
-            self.broadcast(nid, msg,
-                           lambda r, m, t, _pos: self.on_hello(r, m, t, nid))
-            if atb:
-                nxt = atb_interval(self.busy(nid), i_min, i_max)
-            else:
-                nxt = interval
-            if now + nxt <= self.cfg.duration:
-                self.sim.call_at(now + nxt, beacon, kind="beacon")
-
-        return beacon
+    def _beacon(self, nid: str, _event: SimEvent) -> None:
+        node = self.nodes[nid]
+        now = self.sim.now
+        self.on_beacon_tick(node, now)
+        msg = self.make_hello(node, now)
+        self.broadcast(nid, msg, lambda r, m, t, _pos: self.on_hello(r, m, t, nid))
+        nxt = now + self.cfg.routing.hello_interval
+        if nxt <= self.cfg.duration:
+            self.sim.call_at(nxt, partial(self._beacon, nid), kind="beacon")
 
     def on_beacon_tick(self, node: Node, now: float) -> None:
         """Hook: per-beacon protocol housekeeping, run before the hello."""
@@ -302,7 +301,7 @@ class DisseminationRun(Run):
                 break
             self.sim.call_at(t, lambda e, f=frame: self.emit_frame(f),
                              kind="transmit-start")
-        self.sim.run_until(cfg.duration)
+        self.run_to_horizon()
         self.ledger.extras["coverage"] = (
             len(self.reached & set(self.vehicle_ids)) / len(self.vehicle_ids)
             if self.vehicle_ids else 0.0)
@@ -429,85 +428,86 @@ class DisseminationRun(Run):
             self._schedule_scf_retry(node, msg)
 
     def _schedule_scf_retry(self, node: Node, msg: Message) -> None:
+        self.sim.call_after(self.cfg.routing.hello_interval,
+                            partial(self._scf_retry, node, msg), kind="timer-expiry")
+
+    def _scf_retry(self, node: Node, msg: Message, _event: SimEvent) -> None:
         pending = self.pending_scf[node.id]
-
-        def retry(_event: SimEvent) -> None:
-            if msg.id not in pending:
-                return
-            if self.sim.now > msg.created + self.cfg.warning.lifetime:
-                pending.remove(msg.id)
-                return
-            if self.fresh_neighbors(node, self.sim.now):
-                pending.remove(msg.id)
-                self.relay_now(node, msg.id)
-                return
-            self.sim.call_after(self.cfg.routing.hello_interval, retry,
-                                kind="timer-expiry")
-
-        self.sim.call_after(self.cfg.routing.hello_interval, retry,
-                            kind="timer-expiry")
+        if msg.id not in pending:
+            return
+        if self.sim.now > msg.created + self.cfg.warning.lifetime:
+            pending.remove(msg.id)
+            return
+        if self.fresh_neighbors(node, self.sim.now):
+            pending.remove(msg.id)
+            self.relay_now(node, msg.id)
+            return
+        self._schedule_scf_retry(node, msg)
 
     def _start_jsf(self, node: Node, msg: Message, t: float,
                    state: dis.DisseminationState) -> None:
         """Rebroadcast at every new junction until the message timer expires."""
-        poll = self.cfg.timers.poll_interval
-        rho = 10.0
+        self.sim.call_after(self.cfg.timers.poll_interval,
+                            partial(self._jsf_tick, node, msg, state), kind="timer-expiry")
 
-        def tick(_event: SimEvent) -> None:
-            now = self.sim.now
-            if now > msg.created + self.cfg.warning.lifetime or now > self.cfg.duration:
-                return
-            pos = self.positions.pos(node.id, now)
-            iid, d = self.graph.nearest_intersection(pos)
-            if d <= rho and iid != state.last_relay_intersection:
-                state.last_relay_intersection = iid
-                self.forward_warning(node.id, msg)
-            self.sim.call_after(poll, tick, kind="timer-expiry")
-
-        self.sim.call_after(poll, tick, kind="timer-expiry")
+    def _jsf_tick(self, node: Node, msg: Message, state: dis.DisseminationState,
+                  _event: SimEvent) -> None:
+        now = self.sim.now
+        if now > msg.created + self.cfg.warning.lifetime or now > self.cfg.duration:
+            return
+        pos = self.positions.pos(node.id, now)
+        iid, d = self.graph.nearest_intersection(pos)
+        if d <= JSF_JUNCTION_RADIUS and iid != state.last_relay_intersection:
+            state.last_relay_intersection = iid
+            self.forward_warning(node.id, msg)
+        self._start_jsf(node, msg, now, state)
 
     def _start_timer_relay(self, node: Node, msg: Message, t: float,
                            state: dis.DisseminationState) -> None:
         """Periodic retransmission under the configured timer scheme."""
         cfg = self.cfg
         scheme = cfg.timers.scheme
-        v_max = 14.0
         state.last_tx = t
-
-        def fire(_event: SimEvent) -> None:
-            now = self.sim.now
-            if now > msg.created + cfg.warning.lifetime or now > cfg.duration:
-                return
-            pos = self.positions.pos(node.id, now)
-            at_int = self.graph.is_at_intersection(pos)
-            v = min(self.positions.speed(node.id, now), v_max)
-            if scheme == "map":
-                elapsed = now - state.last_tx
-                delay = dis.retransmission_delay(scheme, v, v_max, at_int,
-                                                 cfg.timers, elapsed)
-                if delay == 0.0:
-                    state.last_tx = now
-                    self.forward_warning(node.id, msg)
-                    self.sim.call_after(cfg.timers.poll_interval, fire,
-                                        kind="timer-expiry")
-                else:
-                    self.sim.call_after(delay, fire, kind="timer-expiry")
-            else:
-                state.last_tx = now
-                self.forward_warning(node.id, msg)
-                delay = dis.retransmission_delay(scheme, v, v_max, at_int, cfg.timers)
-                self.sim.call_after(delay, fire, kind="timer-expiry")
-
-        delay = dis.retransmission_delay(scheme, min(self.positions.speed(node.id, t), v_max),
-                                         v_max, self.graph.is_at_intersection(
-                                             self.positions.pos(node.id, t)),
-                                         cfg.timers)
+        delay = dis.retransmission_delay(
+            scheme, min(self.positions.speed(node.id, t), TIMER_V_MAX), TIMER_V_MAX,
+            self.graph.is_at_intersection(self.positions.pos(node.id, t)), cfg.timers)
         if scheme == "map":
             delay = cfg.timers.poll_interval
         # random phase so holders that heard the same broadcast do not stay
         # lock-stepped (synchronized timers collide at every shared hearer)
         delay += float(self.jitter_rng.uniform(0.0, cfg.jitter_max))
-        self.sim.call_after(delay, fire, kind="timer-expiry")
+        self._schedule_timer(node, msg, state, delay)
+
+    def _schedule_timer(self, node: Node, msg: Message,
+                        state: dis.DisseminationState, delay: float) -> None:
+        self.sim.call_after(delay, partial(self._timer_fire, node, msg, state),
+                            kind="timer-expiry")
+
+    def _timer_fire(self, node: Node, msg: Message, state: dis.DisseminationState,
+                    _event: SimEvent) -> None:
+        cfg = self.cfg
+        scheme = cfg.timers.scheme
+        now = self.sim.now
+        if now > msg.created + cfg.warning.lifetime or now > cfg.duration:
+            return
+        pos = self.positions.pos(node.id, now)
+        at_int = self.graph.is_at_intersection(pos)
+        v = min(self.positions.speed(node.id, now), TIMER_V_MAX)
+        if scheme == "map":
+            elapsed = now - state.last_tx
+            delay = dis.retransmission_delay(scheme, v, TIMER_V_MAX, at_int,
+                                             cfg.timers, elapsed)
+            if delay == 0.0:
+                state.last_tx = now
+                self.forward_warning(node.id, msg)
+                self._schedule_timer(node, msg, state, cfg.timers.poll_interval)
+            else:
+                self._schedule_timer(node, msg, state, delay)
+        else:
+            state.last_tx = now
+            self.forward_warning(node.id, msg)
+            delay = dis.retransmission_delay(scheme, v, TIMER_V_MAX, at_int, cfg.timers)
+            self._schedule_timer(node, msg, state, delay)
 
     def reception_context(self, node: Node, t: float,
                           sender_pos: tuple[float, float]) -> dis.ReceptionContext:
@@ -568,7 +568,7 @@ class RoutingRun(Run):
                 self.sim.call_at(
                     t, lambda e, s=src, f=frame: self.emit_packet(s, f),
                     kind="transmit-start")
-        self.sim.run_until(cfg.duration)
+        self.run_to_horizon()
         sent = sum(c.packets_sent for c in self.ledger.per_ring.values())
         delivered = sum(c.packets_delivered for c in self.ledger.per_ring.values())
         self.ledger.extras["loss"] = 1.0 - delivered / sent if sent else 0.0
@@ -722,7 +722,7 @@ class CtdRun(Run):
         for k, sender in enumerate(senders):
             t0 = cfg.warning.start_time + 0.1 * k
             self.sim.call_at(t0, lambda e, s=sender: self.propose(s), kind="transmit-start")
-        self.sim.run_until(cfg.duration)
+        self.run_to_horizon()
         self.ledger.extras["coverage"] = (
             len(self.reached) / len(self.device_ids) if self.device_ids else 0.0)
         self.ledger.extras["total_messages"] = float(

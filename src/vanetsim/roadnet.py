@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -15,6 +16,11 @@ PEDESTRIAN_SPEED = 1.4  # m/s nominal walking speed
 # seconds between mobility samples; a power of two, so every sample time k*dt
 # is exact and the engine's interpolation lands on the samples themselves
 MOBILITY_DT = 0.5
+# walks generate_grid keeps, dropping the least recently used.  Runs that
+# differ only in protocol replay the same walk, so a sweep builds each once.
+# The largest walk of a bundled preset (ctd-1000: 1000 pedestrians for 31 s)
+# keeps about 2.4 MB, so a full memo holds at most about 40 MB.
+WALK_MEMO_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -237,7 +243,22 @@ def generate_grid(area_width: float, area_height: float, block_size: float,
     Returns (graph, ids, X, Y, V): the mobile ids in sorted order and their
     positions and speeds at t = k * MOBILITY_DT, one row per k and one column
     per id, with ceil(duration / MOBILITY_DT) + 2 rows.
+
+    The last WALK_MEMO_SIZE walks are memoized by these arguments: calls with
+    equal arguments share the graph and the read-only X, Y and V, and each
+    gets its own ids list.  generate_grid.cache_clear() empties the memo.
     """
+    graph, ids, X, Y, V = _walk(area_width, area_height, block_size, density,
+                                seed, duration, speed_limit, with_obstacles,
+                                pedestrian_count)
+    return graph, list(ids), X, Y, V
+
+
+@functools.lru_cache(maxsize=WALK_MEMO_SIZE)
+def _walk(area_width: float, area_height: float, block_size: float,
+          density: float, seed: int, duration: float, speed_limit: float,
+          with_obstacles: bool, pedestrian_count: int
+          ) -> tuple[RoadGraph, tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:
     if density <= 0 and pedestrian_count <= 0:
         raise RoadGraphError("density must be positive")
     if area_width <= 0 or area_height <= 0:
@@ -262,4 +283,9 @@ def generate_grid(area_width: float, area_height: float, block_size: float,
     for nid, lo, hi in bands:
         i = column[nid]
         X[:, i], Y[:, i], V[:, i] = _random_trips(graph, rng, duration, rows, lo, hi)
-    return graph, ids, X, Y, V
+    for table in (X, Y, V):
+        table.setflags(write=False)  # shared by every caller of the memo
+    return graph, tuple(ids), X, Y, V
+
+
+generate_grid.cache_clear = _walk.cache_clear

@@ -96,6 +96,10 @@ class Simulator:
         self.now = t_end
         return self.now
 
+    def clear(self) -> None:
+        """Drop every queued event; the clock stays where it is."""
+        self._queue.clear()
+
 
 # Fixed purpose labels keep substreams stable even if call sites move around.
 STREAM_LABELS = ("mobility", "radio-loss", "game-draw", "assessment", "scenario", "jitter")

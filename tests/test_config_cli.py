@@ -146,6 +146,24 @@ def test_channel_conservation_holds_after_a_run(tiny_cfg):
     assert ch.receivable > 0
 
 
+@pytest.mark.parametrize("protocol", ["flooding-distance", "jsf", "timer-relay-fixed",
+                                      "timer-relay-map", "3mrp-dsw", "ctd-query"])
+def test_a_finished_run_is_freed_by_reference_counting(protocol):
+    import gc
+    import weakref
+
+    cfg = scenario_from_dict(dict(TINY_SCENARIO, pedestrian_count=60))
+    gc.disable()
+    try:
+        run = build_run(cfg, 30.0, protocol, 0)
+        run.execute()
+        ref = weakref.ref(run)
+        del run
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_obstacle_blocking_builds_blocks_that_cut_receptions():
     receivable = {}
     for blocking in (False, True):
@@ -250,6 +268,24 @@ def test_parallel_execution_matches_sequential(tmp_path, tiny_yaml):
     assert cli.main(["run", tiny_yaml, "--out", str(out_par), "--jobs", "2"]) == 0
     for name in ("results.csv", "summary.json"):
         assert (out_seq / name).read_bytes() == (out_par / name).read_bytes()
+
+
+def test_parallel_sweep_of_shared_walks_matches_sequential(tmp_path):
+    # vehicle and pedestrian walks in one sweep: each (density, seed) group
+    # is one pool chunk whose protocols share the memoized walks
+    import yaml
+
+    path = tmp_path / "mixed.yaml"
+    scenario = dict(TINY_SCENARIO, pedestrian_count=40, densities=[20.0, 30.0],
+                    protocols=["add-vod", "gpsr", "ctd-passive"])
+    path.write_text(yaml.safe_dump(scenario), encoding="utf-8")
+    out_seq, out_par = tmp_path / "seq", tmp_path / "par"
+    assert cli.main(["run", str(path), "--out", str(out_seq), "--jobs", "1"]) == 0
+    assert cli.main(["run", str(path), "--out", str(out_par), "--jobs", "2"]) == 0
+    for name in ("results.csv", "summary.json"):
+        assert (out_seq / name).read_bytes() == (out_par / name).read_bytes()
+    runs = json.loads((out_seq / "summary.json").read_text(encoding="utf-8"))["runs"]
+    assert len(runs) == 3 * 2 * 2
 
 
 def test_cli_runs_a_forwarding_game_scenario(tmp_path):

@@ -85,11 +85,70 @@ def test_generate_grid_population_matches_density():
 
 def test_generate_grid_is_deterministic_per_seed():
     _, ids_a, *a = generate_grid(600.0, 600.0, 200.0, 25.0, seed=5, duration=4.0)
+    generate_grid.cache_clear()  # build the second seed-5 walk afresh
     _, ids_b, *b = generate_grid(600.0, 600.0, 200.0, 25.0, seed=5, duration=4.0)
     _, ids_c, *c = generate_grid(600.0, 600.0, 200.0, 25.0, seed=6, duration=4.0)
     assert ids_a == ids_b == ids_c
     assert all(np.array_equal(p, q) for p, q in zip(a, b))
     assert not np.array_equal(a[0], c[0])
+
+
+WALK = (600.0, 400.0, 200.0, 20.0, 3)
+
+
+def test_walk_memo_entry_equals_a_fresh_build_bit_for_bit():
+    generate_grid.cache_clear()
+    graph, ids, *tables = generate_grid(*WALK, duration=4.0, pedestrian_count=5)
+    # the defaults written out name the same entry
+    again = generate_grid(*WALK, duration=4.0, speed_limit=14.0,
+                          with_obstacles=False, pedestrian_count=5)
+    assert again[0] is graph and all(p is q for p, q in zip(again[2:], tables))
+    generate_grid.cache_clear()
+    fresh_graph, fresh_ids, *fresh = generate_grid(*WALK, duration=4.0,
+                                                   pedestrian_count=5)
+    assert fresh_graph is not graph
+    assert fresh_ids == ids
+    assert (fresh_graph.intersections, fresh_graph.segments, fresh_graph.obstacles,
+            fresh_graph.grid) == (graph.intersections, graph.segments,
+                                  graph.obstacles, graph.grid)
+    for p, q in zip(fresh, tables):
+        assert p.dtype == q.dtype and p.shape == q.shape
+        assert p.tobytes() == q.tobytes()
+
+
+def test_walk_memo_tables_are_read_only():
+    _, _, X, Y, V = generate_grid(*WALK, duration=4.0)
+    for table in (X, Y, V):
+        with pytest.raises(ValueError):
+            table[0, 0] = -1.0
+        with pytest.raises(ValueError):
+            table += 1.0
+    assert generate_grid(*WALK, duration=4.0)[2][0, 0] != -1.0
+
+
+def test_walk_memo_hands_every_caller_its_own_ids():
+    _, ids, *_ = generate_grid(*WALK, duration=4.0)
+    expected = list(ids)
+    ids.append("intruder")
+    ids.reverse()
+    _, again, *_ = generate_grid(*WALK, duration=4.0)
+    assert again == expected and again is not ids
+
+
+def test_walk_memo_keys_on_every_argument_that_shapes_the_walk():
+    graph, ids, X, _, _ = generate_grid(*WALK, duration=4.0)
+    width, height, block, density, seed = WALK
+    other_seed = generate_grid(width, height, block, density, seed + 1, duration=4.0)
+    other_density = generate_grid(width, height, block, 2 * density, seed,
+                                  duration=4.0)
+    with_peds = generate_grid(*WALK, duration=4.0, pedestrian_count=3)
+    blocked = generate_grid(*WALK, duration=4.0, with_obstacles=True)
+    for entry in (other_seed, other_density, with_peds, blocked):
+        assert entry[0] is not graph
+    assert not np.array_equal(other_seed[2], X)
+    assert other_density[2].shape[1] > X.shape[1]
+    assert sum(nid.startswith("ped") for nid in with_peds[1]) == 3
+    assert blocked[0].obstacles and not graph.obstacles
 
 
 @given(seed=st.integers(min_value=0, max_value=50))

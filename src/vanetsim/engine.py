@@ -60,36 +60,39 @@ class Node:
 
 class PositionTable:
     """Positions of every node on the mobility sample grid, vectorized lookup
-    by time.  Mobile columns come from the random-trip walk; static nodes
-    (origin, RSUs) follow as constant columns with zero speed."""
+    by time.  Mobile columns come from the random-trip walk and are shared
+    with it; static nodes (origin, RSUs) follow as constant columns with zero
+    speed, appended to a copy."""
 
-    def __init__(self, mobile_ids: list[str], X: np.ndarray, Y: np.ndarray,
+    def __init__(self, mobile_ids: list[str], XY: np.ndarray, DXY: np.ndarray,
                  V: np.ndarray, static: dict[str, tuple[float, float]]):
         fixed = sorted(static)
         self.ids = list(mobile_ids) + fixed
         self.index = {nid: i for i, nid in enumerate(self.ids)}
-        pad = np.zeros((len(X), len(fixed)))
-        self.X = np.hstack((X, pad + [static[nid][0] for nid in fixed]))
-        self.Y = np.hstack((Y, pad + [static[nid][1] for nid in fixed]))
-        self.V = np.hstack((V, pad))
+        if fixed:
+            spots = np.array([static[nid] for nid in fixed], dtype=float)
+            XY = np.concatenate((XY, np.broadcast_to(spots, (len(XY),) + spots.shape)),
+                                axis=1)
+            DXY = np.concatenate((DXY, np.zeros((len(DXY),) + spots.shape)), axis=1)
+            V = np.concatenate((V, np.zeros((len(V), len(fixed)))), axis=1)
+        self.XY, self.DXY, self.V = XY, DXY, V
 
     def _bracket(self, t: float) -> tuple[int, float]:
         k = int(t / MOBILITY_DT)
-        k = max(0, min(k, len(self.X) - 2))
+        k = max(0, min(k, len(self.DXY) - 1))
         frac = (t - k * MOBILITY_DT) / MOBILITY_DT
         return k, min(1.0, max(0.0, frac))
 
     def coords_at(self, t: float) -> np.ndarray:
         k, frac = self._bracket(t)
-        x = self.X[k] + frac * (self.X[k + 1] - self.X[k])
-        y = self.Y[k] + frac * (self.Y[k + 1] - self.Y[k])
-        return np.column_stack((x, y))
+        return self.XY[k] + frac * self.DXY[k]
 
     def pos(self, nid: str, t: float) -> tuple[float, float]:
         i = self.index[nid]
         k, frac = self._bracket(t)
-        return (float(self.X[k, i] + frac * (self.X[k + 1, i] - self.X[k, i])),
-                float(self.Y[k, i] + frac * (self.Y[k + 1, i] - self.Y[k, i])))
+        x, y = self.XY[k, i].tolist()
+        dx, dy = self.DXY[k, i].tolist()
+        return (x + frac * dx, y + frac * dy)
 
     def speed(self, nid: str, t: float) -> float:
         i = self.index[nid]
@@ -99,9 +102,8 @@ class PositionTable:
     def velocity(self, nid: str, t: float) -> tuple[float, float]:
         i = self.index[nid]
         k, _ = self._bracket(t)
-        vx = (self.X[k + 1, i] - self.X[k, i]) / MOBILITY_DT
-        vy = (self.Y[k + 1, i] - self.Y[k, i]) / MOBILITY_DT
-        return (vx, vy)
+        dx, dy = self.DXY[k, i].tolist()
+        return (dx / MOBILITY_DT, dy / MOBILITY_DT)
 
 
 class Run:
@@ -118,7 +120,7 @@ class Run:
 
         pedestrians = cfg.pedestrian_count if protocol in CTD_PROTOCOLS else 0
         vehicle_density = 0.0 if protocol in CTD_PROTOCOLS else density
-        self.graph, mobile_ids, X, Y, V = generate_grid(
+        self.graph, mobile_ids, XY, DXY, V = generate_grid(
             cfg.area.width, cfg.area.height, cfg.area.block_size,
             vehicle_density, seed, duration=cfg.duration + 1.0,
             with_obstacles=cfg.radio.obstacle_blocking, pedestrian_count=pedestrians)
@@ -144,7 +146,7 @@ class Run:
         elif protocol not in CTD_PROTOCOLS:
             static["origin"] = self.origin
 
-        self.positions = PositionTable(mobile_ids, X, Y, V, static)
+        self.positions = PositionTable(mobile_ids, XY, DXY, V, static)
         self.channel = Channel(cfg.radio, self.rngs.get("radio-loss"))
         mac_rng = self.rngs.get("scenario")
         self.nodes: dict[str, Node] = {}
@@ -193,14 +195,18 @@ class Run:
         return out
 
     def broadcast(self, sender: str, msg: Message, on_delivery) -> None:
-        """Send msg from sender now; on_delivery(receiver_id, msg, t, sender_pos)
-        is called for every successful reception."""
+        """Send msg from sender now; at the end of its airtime,
+        on_delivery(receiver_ids, msg, t, sender_pos) is called once with the
+        receivers that got it, in sorted id order."""
         now = self.sim.now
-        pos = self.positions.pos(sender, now)
-        hears = reachable(pos, self.positions.coords_at(now), self.graph.obstacles,
-                          self.cfg.radio.r_max)
-        hears[self.positions.index[sender]] = False
-        receivers = [self.positions.ids[i] for i in np.flatnonzero(hears)]
+        positions = self.positions
+        coords = positions.coords_at(now)
+        i = positions.index[sender]
+        pos = tuple(coords[i].tolist())
+        hears = reachable(pos, coords, self.graph.obstacles, self.cfg.radio.r_max)
+        hears[i] = False
+        ids = positions.ids
+        receivers = [ids[j] for j in np.flatnonzero(hears).tolist()]
         tx = self.channel.start_transmission(sender, pos, msg.size, now, receivers)
         self.ledger.count_message(msg.kind)
 
@@ -209,8 +215,7 @@ class Run:
             self.ledger.collisions = self.channel.collision_events
             received = self.channel.mac_survivors(
                 delivered, [self.nodes[r].mac_loss for r in delivered])
-            for receiver in received:
-                on_delivery(receiver, msg, tx.end, tx.pos)
+            on_delivery(received, msg, tx.end, tx.pos)
 
         self.sim.call_at(tx.end, resolve, kind="transmit-end")
 
@@ -218,19 +223,19 @@ class Run:
         return self.channel.busy_ratio(nid, self.sim.now)
 
     def make_hello(self, node: Node, now: float) -> Message:
-        return Message(self.next_msg_id("h"), "hello",
-                       self.positions.pos(node.id, now), now, HELLO_SIZE, 1,
-                       payload=self.hello_payload(node, now))
-
-    def hello_payload(self, node: Node, now: float) -> dict:
         pos = self.positions.pos(node.id, now)
+        return Message(self.next_msg_id("h"), "hello", pos, now, HELLO_SIZE, 1,
+                       payload=self.hello_payload(node, now, pos))
+
+    def hello_payload(self, node: Node, now: float, pos: tuple[float, float]) -> dict:
         if node.static_pos is not None:
             speed, heading = 0.0, (0.0, 0.0)
         else:
             speed = self.positions.speed(node.id, now)
             heading = rt.heading_of(self.positions.velocity(node.id, now))
-        fresh = sum(1 for e in node.neighbors.values()
-                    if e.fresh(now, self.neighbor_timeout))
+        # NeighborEntry.fresh, inlined
+        timeout = self.neighbor_timeout
+        fresh = sum(1 for e in node.neighbors.values() if now - e.last_heard <= timeout)
         range_km2 = math.pi * (self.cfg.radio.r_max / 1000.0) ** 2
         busy = self.busy(node.id)
         return {
@@ -242,16 +247,16 @@ class Run:
             "mac_loss": node.mac_loss,
         }
 
-    def on_hello(self, receiver: str, msg: Message, t: float, sender: str) -> bool:
-        """Refresh the receiver's neighbor entry; True if the sender is new."""
-        node = self.nodes[receiver]
+    def on_hello(self, receivers: list[str], msg: Message, t: float,
+                 sender: str) -> None:
+        """Refresh the sender's entry in every receiver's neighbor table.  All
+        of them heard it at t, so they share one immutable entry."""
         p = msg.payload
-        is_new = sender not in node.neighbors or \
-            not node.neighbors[sender].fresh(t, self.neighbor_timeout)
-        node.neighbors[sender] = rt.NeighborEntry(
-            sender, p["position"], p["speed"], p["heading"],
-            p["density"], p["abe"], p["mac_loss"], t)
-        return is_new
+        entry = rt.NeighborEntry(sender, p["position"], p["speed"], p["heading"],
+                                 p["density"], p["abe"], p["mac_loss"], t)
+        nodes = self.nodes
+        for receiver in receivers:
+            nodes[receiver].neighbors[sender] = entry
 
     def start_beacons(self) -> None:
         interval = self.cfg.routing.hello_interval
@@ -264,7 +269,7 @@ class Run:
         now = self.sim.now
         self.on_beacon_tick(node, now)
         msg = self.make_hello(node, now)
-        self.broadcast(nid, msg, lambda r, m, t, _pos: self.on_hello(r, m, t, nid))
+        self.broadcast(nid, msg, lambda rs, m, t, _pos: self.on_hello(rs, m, t, nid))
         nxt = now + self.cfg.routing.hello_interval
         if nxt <= self.cfg.duration:
             self.sim.call_at(nxt, partial(self._beacon, nid), kind="beacon")
@@ -340,23 +345,35 @@ class DisseminationRun(Run):
         copy = dataclasses.replace(msg, ttl=msg.ttl - 1, hops=msg.hops + 1)
         self.broadcast(sender, copy, self.on_warning)
 
-    def on_hello(self, receiver: str, msg: Message, t: float, sender: str) -> bool:
-        """Also relay what the receiver held for a neighbor like this one."""
-        is_new = super().on_hello(receiver, msg, t, sender)
-        node = self.nodes[receiver]
-        pending_nsf = self.pending_nsf.get(receiver)
-        if is_new and pending_nsf:
-            for entry in list(pending_nsf):
-                msg_id, known = entry
-                if sender not in known:
-                    pending_nsf.remove(entry)
-                    self.relay_now(node, msg_id)
-        pending_scf = self.pending_scf.get(receiver)
-        if pending_scf:
-            for msg_id in list(pending_scf):
-                pending_scf.remove(msg_id)
+    def on_hello(self, receivers: list[str], msg: Message, t: float,
+                 sender: str) -> None:
+        """Also relay what each receiver held for a neighbor like this one:
+        NSF messages when the sender is new to it and was not among the
+        neighbors it knew at receipt, SCF messages on any hello."""
+        nsf, scf = self.pending_nsf, self.pending_scf
+        holders = [r for r in receivers if r in nsf or r in scf] if nsf or scf else []
+        # "new" reads the tables before this hello refreshes them: no entry,
+        # or one that NeighborEntry.fresh no longer accepts
+        timeout = self.neighbor_timeout
+        new = set()
+        for r in holders:
+            if r in nsf:
+                entry = self.nodes[r].neighbors.get(sender)
+                if entry is None or t - entry.last_heard > timeout:
+                    new.add(r)
+        super().on_hello(receivers, msg, t, sender)
+        for r in holders:
+            node = self.nodes[r]
+            if r in new:
+                waiting = nsf.pop(r)
+                kept = [(msg_id, known) for msg_id, known in waiting if sender in known]
+                if kept:
+                    nsf[r] = kept
+                for msg_id, known in waiting:
+                    if sender not in known:
+                        self.relay_now(node, msg_id)
+            for msg_id in scf.pop(r, ()):
                 self.relay_now(node, msg_id)
-        return is_new
 
     def relay_now(self, node: Node, msg_id: str) -> None:
         state = node.msg_state.get(msg_id)
@@ -370,32 +387,32 @@ class DisseminationRun(Run):
         state.forwarded = True
         self.forward_warning(node.id, stored)
 
-    def on_warning(self, receiver: str, msg: Message, t: float,
+    def on_warning(self, receivers: list[str], msg: Message, t: float,
                    sender_pos: tuple[float, float]) -> None:
-        node = self.nodes[receiver]
-        if node.kind != "vehicle":
-            return
-        if msg.id in node.seen:
-            self.ledger.record_duplicate()
-            return
-        node.seen.add(msg.id)
-        self.reached.add(receiver)
-        ring = self.frame_rings.get(msg.id, {}).get(receiver)
-        if ring is not None:
-            c = self.ledger.counters(ring)
-            c.frames_delivered += 1
-            c.packets_sent += 1
-            c.packets_delivered += 1
-            c.delay_sum += t - msg.created
-            c.delay_count += 1
-            ftype = msg.payload
-            key = f"frames_{ftype}_delivered"
-            self.ledger.extras[key] = self.ledger.extras.get(key, 0) + 1
-        state = dis.DisseminationState(stored_msg=msg)
-        node.msg_state[msg.id] = state
-        if msg.ttl <= 0:
-            return
-        self.dispatch(node, msg, t, state, sender_pos)
+        rings = self.frame_rings.get(msg.id, {})
+        for receiver in receivers:
+            node = self.nodes[receiver]
+            if node.kind != "vehicle":
+                continue
+            if msg.id in node.seen:
+                self.ledger.record_duplicate()
+                continue
+            node.seen.add(msg.id)
+            self.reached.add(receiver)
+            ring = rings.get(receiver)
+            if ring is not None:
+                c = self.ledger.counters(ring)
+                c.frames_delivered += 1
+                c.packets_sent += 1
+                c.packets_delivered += 1
+                c.delay_sum += t - msg.created
+                c.delay_count += 1
+                key = f"frames_{msg.payload}_delivered"
+                self.ledger.extras[key] = self.ledger.extras.get(key, 0) + 1
+            state = dis.DisseminationState(stored_msg=msg)
+            node.msg_state[msg.id] = state
+            if msg.ttl > 0:
+                self.dispatch(node, msg, t, state, sender_pos)
 
     def dispatch(self, node: Node, msg: Message, t: float,
                  state: dis.DisseminationState,
@@ -432,17 +449,19 @@ class DisseminationRun(Run):
                             partial(self._scf_retry, node, msg), kind="timer-expiry")
 
     def _scf_retry(self, node: Node, msg: Message, _event: SimEvent) -> None:
-        pending = self.pending_scf[node.id]
+        pending = self.pending_scf.get(node.id, ())
         if msg.id not in pending:
             return
-        if self.sim.now > msg.created + self.cfg.warning.lifetime:
-            pending.remove(msg.id)
+        now = self.sim.now
+        expired = now > msg.created + self.cfg.warning.lifetime
+        if not expired and not self.fresh_neighbors(node, now):
+            self._schedule_scf_retry(node, msg)
             return
-        if self.fresh_neighbors(node, self.sim.now):
-            pending.remove(msg.id)
+        pending.remove(msg.id)
+        if not pending:  # so that on_hello meets only nodes that hold something
+            del self.pending_scf[node.id]
+        if not expired:
             self.relay_now(node, msg.id)
-            return
-        self._schedule_scf_retry(node, msg)
 
     def _start_jsf(self, node: Node, msg: Message, t: float,
                    state: dis.DisseminationState) -> None:
@@ -650,13 +669,13 @@ class RoutingRun(Run):
                           if math.hypot(e.position[0] - dest[0],
                                         e.position[1] - dest[1]) < d_cur}
                 if closer:
+                    w = node.weights if self.protocol == "3mrp-dsw" \
+                        else rt.equal_weights(self.cfg.routing.w_floor)
                     scores = {}
                     for nid, e in closer.items():
                         v = rt.normalize_metrics(
                             e, pos, dest, bitrate=self.cfg.radio.bitrate,
                             density_ref=self.cfg.routing.density_ref)
-                        w = node.weights if self.protocol == "3mrp-dsw" \
-                            else rt.equal_weights(self.cfg.routing.w_floor)
                         scores[nid] = rt.multimetric_score(v, w)
                     nxt = rt.select_forwarder(scores)
                 else:
@@ -752,42 +771,44 @@ class CtdRun(Run):
         msg = self._alert_msg(alert, "alert", ALERT_SIZE, self.sim.now)
         self.broadcast(sender, msg, self.on_flood_alert)
 
-    def on_flood_alert(self, receiver: str, msg: Message, t: float, _sender_pos) -> None:
-        node = self.nodes[receiver]
-        if msg.id in node.seen:
-            self.ledger.record_duplicate()
-            return
-        node.seen.add(msg.id)
-        self.reached.add(receiver)
-        delay = float(self.jitter_rng.uniform(0.0, self.cfg.jitter_max))
-        self.sim.call_after(delay,
-                            lambda e: self.flood_alert(receiver, msg.payload),
-                            kind="transmit-start")
+    def on_flood_alert(self, receivers: list[str], msg: Message, t: float,
+                       _sender_pos) -> None:
+        for receiver in receivers:
+            node = self.nodes[receiver]
+            if msg.id in node.seen:
+                self.ledger.record_duplicate()
+                continue
+            node.seen.add(msg.id)
+            self.reached.add(receiver)
+            delay = float(self.jitter_rng.uniform(0.0, self.cfg.jitter_max))
+            self.sim.call_after(delay,
+                                lambda e, r=receiver: self.flood_alert(r, msg.payload),
+                                kind="transmit-start")
 
     def query_initiate(self, detector: str, alert: Alert) -> None:
         now = self.sim.now
         msg = self._alert_msg(alert, "ctd-query", REPLY_SIZE, now)
         replies = {"confirm": 0, "total": 0}
 
-        def on_query(receiver: str, m: Message, t: float, _sender_pos) -> None:
-            node = self.nodes[receiver]
+        def on_query(receivers: list[str], m: Message, t: float, _sender_pos) -> None:
             key = ("replied", m.id)
-            if key in node.seen:
-                return
-            node.seen.add(key)
-            confirm = reply_draw(self.assess_rng, self.cfg.ctd.p_a)
-            delay = float(self.jitter_rng.uniform(0.0, self.cfg.ctd.reply_window * 0.4))
-            reply = Message(self.next_msg_id("r"), "ctd-reply", m.origin,
-                            t, REPLY_SIZE, 1, payload=(m.id, confirm),
-                            dest=detector)
+            for receiver in receivers:
+                node = self.nodes[receiver]
+                if key in node.seen:
+                    continue
+                node.seen.add(key)
+                confirm = reply_draw(self.assess_rng, self.cfg.ctd.p_a)
+                delay = float(self.jitter_rng.uniform(0.0,
+                                                      self.cfg.ctd.reply_window * 0.4))
+                reply = Message(self.next_msg_id("r"), "ctd-reply", m.origin,
+                                t, REPLY_SIZE, 1, payload=(m.id, confirm),
+                                dest=detector)
+                self.sim.call_after(
+                    delay, lambda e, r=receiver, rp=reply: self.broadcast(r, rp, on_reply),
+                    kind="transmit-start")
 
-            def send_reply(_e):
-                self.broadcast(receiver, reply, on_reply)
-
-            self.sim.call_after(delay, send_reply, kind="transmit-start")
-
-        def on_reply(receiver: str, m: Message, t: float, _sender_pos) -> None:
-            if receiver != m.dest:
+        def on_reply(receivers: list[str], m: Message, t: float, _sender_pos) -> None:
+            if m.dest not in receivers:
                 return
             if t > now + self.cfg.ctd.reply_window:
                 return
@@ -809,26 +830,29 @@ class CtdRun(Run):
         msg = self._alert_msg(alert, "alert", ALERT_SIZE, self.sim.now)
         self.broadcast(sender, msg, self.on_passive_alert)
 
-    def on_passive_alert(self, receiver: str, msg: Message, t: float, _sender_pos) -> None:
-        node = self.nodes[receiver]
+    def on_passive_alert(self, receivers: list[str], msg: Message, t: float,
+                         _sender_pos) -> None:
         alert: Alert = msg.payload
-        if msg.id in node.seen:
-            self.ledger.record_duplicate()
-            return
-        seen_alerts = [self.alerts[a] for a in node.seen
-                       if isinstance(a, str) and a in self.alerts]
-        action, dup = passive_accept(alert, seen_alerts, self.cfg.ctd, self.assess_rng)
-        node.seen.add(msg.id)
-        self.alerts.setdefault(alert.id, alert)
-        if dup:
-            self.ledger.record_duplicate()
-            return
-        self.reached.add(receiver)
-        if action == "rebroadcast":
-            delay = float(self.jitter_rng.uniform(0.0, self.cfg.jitter_max))
-            self.sim.call_after(delay,
-                                lambda e: self.broadcast_alert(receiver, alert),
-                                kind="transmit-start")
+        for receiver in receivers:
+            node = self.nodes[receiver]
+            if msg.id in node.seen:
+                self.ledger.record_duplicate()
+                continue
+            seen_alerts = [self.alerts[a] for a in node.seen
+                           if isinstance(a, str) and a in self.alerts]
+            action, dup = passive_accept(alert, seen_alerts, self.cfg.ctd,
+                                         self.assess_rng)
+            node.seen.add(msg.id)
+            self.alerts.setdefault(alert.id, alert)
+            if dup:
+                self.ledger.record_duplicate()
+                continue
+            self.reached.add(receiver)
+            if action == "rebroadcast":
+                delay = float(self.jitter_rng.uniform(0.0, self.cfg.jitter_max))
+                self.sim.call_after(delay,
+                                    lambda e, r=receiver: self.broadcast_alert(r, alert),
+                                    kind="transmit-start")
 
 
 def build_run(cfg: ScenarioConfig, density: float, protocol_label: str,

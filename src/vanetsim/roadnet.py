@@ -19,7 +19,9 @@ MOBILITY_DT = 0.5
 # walks generate_grid keeps, dropping the least recently used.  Runs that
 # differ only in protocol replay the same walk, so a sweep builds each once.
 # The largest walk of a bundled preset (ctd-1000: 1000 pedestrians for 31 s)
-# keeps about 2.4 MB, so a full memo holds at most about 40 MB.
+# keeps 2.5 MB of positions, steps and speeds, so a full memo holds at most
+# about 41 MB.  Runs with no static nodes (every CTD run) read these tables
+# without a copy.
 WALK_MEMO_SIZE = 16
 
 
@@ -240,18 +242,20 @@ def generate_grid(area_width: float, area_height: float, block_size: float,
     trips between random intersections; pedestrians (when requested) do the
     same at walking speed.  Deterministic under the seed.
 
-    Returns (graph, ids, X, Y, V): the mobile ids in sorted order and their
-    positions and speeds at t = k * MOBILITY_DT, one row per k and one column
-    per id, with ceil(duration / MOBILITY_DT) + 2 rows.
+    Returns (graph, ids, XY, DXY, V): the mobile ids in sorted order; XY, of
+    shape (rows, n, 2), holds their (x, y) at t = k * MOBILITY_DT, one row per
+    k and one column per id, with rows = ceil(duration / MOBILITY_DT) + 2;
+    DXY = XY[1:] - XY[:-1] holds the steps between samples, and V, of shape
+    (rows, n), the speeds.
 
     The last WALK_MEMO_SIZE walks are memoized by these arguments: calls with
-    equal arguments share the graph and the read-only X, Y and V, and each
+    equal arguments share the graph and the read-only XY, DXY and V, and each
     gets its own ids list.  generate_grid.cache_clear() empties the memo.
     """
-    graph, ids, X, Y, V = _walk(area_width, area_height, block_size, density,
-                                seed, duration, speed_limit, with_obstacles,
-                                pedestrian_count)
-    return graph, list(ids), X, Y, V
+    graph, ids, XY, DXY, V = _walk(area_width, area_height, block_size, density,
+                                   seed, duration, speed_limit, with_obstacles,
+                                   pedestrian_count)
+    return graph, list(ids), XY, DXY, V
 
 
 @functools.lru_cache(maxsize=WALK_MEMO_SIZE)
@@ -277,15 +281,16 @@ def _walk(area_width: float, area_height: float, block_size: float,
     ids = sorted(nid for nid, _, _ in bands)
     column = {nid: i for i, nid in enumerate(ids)}
     rows = int(math.ceil(duration / MOBILITY_DT)) + 2
-    X = np.empty((rows, len(ids)))
-    Y = np.empty((rows, len(ids)))
+    XY = np.empty((rows, len(ids), 2))
     V = np.empty((rows, len(ids)))
     for nid, lo, hi in bands:
         i = column[nid]
-        X[:, i], Y[:, i], V[:, i] = _random_trips(graph, rng, duration, rows, lo, hi)
-    for table in (X, Y, V):
+        XY[:, i, 0], XY[:, i, 1], V[:, i] = _random_trips(graph, rng, duration,
+                                                          rows, lo, hi)
+    DXY = XY[1:] - XY[:-1]
+    for table in (XY, DXY, V):
         table.setflags(write=False)  # shared by every caller of the memo
-    return graph, tuple(ids), X, Y, V
+    return graph, tuple(ids), XY, DXY, V
 
 
 generate_grid.cache_clear = _walk.cache_clear

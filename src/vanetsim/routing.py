@@ -13,8 +13,10 @@ DEFAULT_W_FLOOR = 0.05
 DEFAULT_DENSITY_REF = 100.0  # nodes/km2 mapping advertised density into [0,1]
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class NeighborEntry:
+    """What one hello told its hearers.  Every hearer of a hello stores the
+    same entry, so it is immutable."""
     neighbor: str
     position: tuple[float, float]
     speed: float
@@ -206,8 +208,9 @@ def dsw_update(snapshots: list[MetricVector], prev: MetricWeights,
         return equal_weights(w_floor)
     raws = []
     n = len(snapshots)
+    rows = [s.as_tuple() for s in snapshots]
     for k in range(5):
-        vals = [s.as_tuple()[k] for s in snapshots]
+        vals = [row[k] for row in rows]
         mean = sum(vals) / n
         if mean == 0.0:
             raws.append(0.0)

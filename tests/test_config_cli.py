@@ -254,6 +254,53 @@ def test_cli_results_match_the_pinned_digest(tmp_path):
     assert digest == PINNED_RESULTS_SHA256
 
 
+# sha256 of results.csv for the tiny scenario (60 pedestrians) run under one
+# protocol label at a time: every protocol, plus each timer-relay scheme.  The
+# label is part of each row, so timer-relay and timer-relay-speed differ.
+PINNED_PROTOCOL_SHA256 = {
+    "gpsr": "18493f4e8af398b1c8f7c8f3b33519fd19140968a14c4e3359dae21b512b7f98",
+    "3mrp": "eb6f6de84c507aa83d7f228ec274d1cb1254a74240815ef22970fd1c5559d2b9",
+    "3mrp-dsw": "09e413d696c207c42ac20f99ec63995c970a8c753e295ccd7db7d463e96ebe12",
+    "flooding-distance":
+        "8dc1fb4e72ea10f4df9d26640e2d54b829e79408ac99c53541ab74d3c91177fc",
+    "jsf": "c5bebaf52f4828b1b51127282b6332788bbbe4ed5c167c7fd94fde531526e7b8",
+    "nsf": "bdcd5aaf510c6349c694d0a05207f55bc2d9f935483f37448f2db34edfd37ea8",
+    "njl": "3e93dc1cf932a4c9490333ebf289083ca6803cd19c66924b4b72973b15e16018",
+    "add-vod": "4a9bf989363a646bfebf282ff073f6a754da2560c459e5f069ca16393ce9e724",
+    "add-fg": "eb3356e46b9809a7fba5a569225b0fa762d692b97c436515fe16c9a2ca57bef9",
+    "timer-relay": "8d81c5aeb9c09200e0a5591c2966c9d182de3f65af45c3b18bfdd342891a46fc",
+    "ctd-query": "e38c81cf65475f7e04dd1ca248d292dd405edd71ecf9852c385728687eadee89",
+    "ctd-passive": "60f302abca4aa2ece01a972624fca79eef9c81f4df0116f5797cf9185ae5da13",
+    "none-assessment":
+        "7621a08e29ca1354a1b2212b059ba740803621544a761e4bbb6f78e7ba2731e9",
+    "timer-relay-fixed":
+        "be8706be1a5bce35757af3c9e07553296446a0570e8697f8bf5ba788e69f3821",
+    "timer-relay-speed":
+        "2460012ac6442e14c13b9fbd0ac55a04f6f1837498450027d7941f53592d9999",
+    "timer-relay-map":
+        "be435ddfc30987036fce906b9fd785bcbcb988e651fe380d3f2ae962a5736c04",
+}
+
+
+def test_pinned_digests_cover_every_protocol():
+    from vanetsim.config import ALL_PROTOCOLS
+
+    assert set(ALL_PROTOCOLS) <= set(PINNED_PROTOCOL_SHA256)
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_PROTOCOL_SHA256))
+def test_cli_results_match_the_pinned_digest_per_protocol(tmp_path, label):
+    import yaml
+
+    path = tmp_path / "pinned.yaml"
+    scenario = dict(TINY_SCENARIO, pedestrian_count=60, protocols=[label])
+    path.write_text(yaml.safe_dump(scenario), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
+    assert digest == PINNED_PROTOCOL_SHA256[label]
+
+
 def test_cli_seed_override_limits_the_sweep(tmp_path, tiny_yaml):
     out = tmp_path / "out"
     assert cli.main(["run", tiny_yaml, "--out", str(out), "--seeds", "0"]) == 0

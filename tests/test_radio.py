@@ -314,14 +314,14 @@ def test_batched_resolve_matches_the_per_receiver_reference(txs, per_link_loss,
 
 def test_every_delivery_the_mac_keeps_reaches_the_application(tiny_cfg):
     run = build_run(tiny_cfg, 30.0, "flooding-distance", 0)
-    calls = 0
+    received = 0
     broadcast = run.broadcast
 
     def counting_broadcast(sender, msg, on_delivery):
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            on_delivery(*args)
+        def counted(receivers, *args):
+            nonlocal received
+            received += len(receivers)
+            on_delivery(receivers, *args)
 
         broadcast(sender, msg, counted)
 
@@ -329,4 +329,4 @@ def test_every_delivery_the_mac_keeps_reaches_the_application(tiny_cfg):
     run.execute()
     ch = run.channel
     assert ch.lost_mac > 0
-    assert calls == ch.delivered - ch.lost_mac
+    assert received == ch.delivered - ch.lost_mac

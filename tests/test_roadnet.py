@@ -69,17 +69,19 @@ def test_is_at_intersection_radius_boundary():
 
 
 def test_generate_grid_population_matches_density():
-    graph, ids, X, Y, V = generate_grid(800.0, 800.0, 200.0, 30.0, seed=0,
-                                        duration=5.0, pedestrian_count=7)
+    graph, ids, XY, DXY, V = generate_grid(800.0, 800.0, 200.0, 30.0, seed=0,
+                                           duration=5.0, pedestrian_count=7)
     area_km2 = 0.8 * 0.8
     vehicles = [nid for nid in ids if nid.startswith("vehicle")]
     assert abs(len(vehicles) - 30.0 * area_km2) <= 1.0
     assert sum(nid.startswith("ped") for nid in ids) == 7
     assert ids == sorted(ids)
     rows = math.ceil(5.0 / MOBILITY_DT) + 2
-    assert X.shape == Y.shape == V.shape == (rows, len(ids))
+    assert XY.shape == (rows, len(ids), 2) and V.shape == (rows, len(ids))
+    assert DXY.shape == (rows - 1, len(ids), 2)
+    assert np.array_equal(DXY, np.diff(XY, axis=0))
     # the last row lies past the horizon and holds the sample at the horizon
-    assert np.array_equal(X[-1], X[-2]) and np.array_equal(V[-1], V[-2])
+    assert np.array_equal(XY[-1], XY[-2]) and np.array_equal(V[-1], V[-2])
     graph.validate()
 
 
@@ -117,13 +119,13 @@ def test_walk_memo_entry_equals_a_fresh_build_bit_for_bit():
 
 
 def test_walk_memo_tables_are_read_only():
-    _, _, X, Y, V = generate_grid(*WALK, duration=4.0)
-    for table in (X, Y, V):
+    _, _, XY, DXY, V = generate_grid(*WALK, duration=4.0)
+    for table in (XY, DXY, V):
         with pytest.raises(ValueError):
             table[0, 0] = -1.0
         with pytest.raises(ValueError):
             table += 1.0
-    assert generate_grid(*WALK, duration=4.0)[2][0, 0] != -1.0
+    assert (generate_grid(*WALK, duration=4.0)[2][0, 0] != -1.0).all()
 
 
 def test_walk_memo_hands_every_caller_its_own_ids():
@@ -136,7 +138,7 @@ def test_walk_memo_hands_every_caller_its_own_ids():
 
 
 def test_walk_memo_keys_on_every_argument_that_shapes_the_walk():
-    graph, ids, X, _, _ = generate_grid(*WALK, duration=4.0)
+    graph, ids, XY, _, _ = generate_grid(*WALK, duration=4.0)
     width, height, block, density, seed = WALK
     other_seed = generate_grid(width, height, block, density, seed + 1, duration=4.0)
     other_density = generate_grid(width, height, block, 2 * density, seed,
@@ -145,15 +147,16 @@ def test_walk_memo_keys_on_every_argument_that_shapes_the_walk():
     blocked = generate_grid(*WALK, duration=4.0, with_obstacles=True)
     for entry in (other_seed, other_density, with_peds, blocked):
         assert entry[0] is not graph
-    assert not np.array_equal(other_seed[2], X)
-    assert other_density[2].shape[1] > X.shape[1]
+    assert not np.array_equal(other_seed[2], XY)
+    assert other_density[2].shape[1] > XY.shape[1]
     assert sum(nid.startswith("ped") for nid in with_peds[1]) == 3
     assert blocked[0].obstacles and not graph.obstacles
 
 
 @given(seed=st.integers(min_value=0, max_value=50))
 def test_generated_positions_stay_on_the_map(seed):
-    _, _, X, Y, V = generate_grid(600.0, 400.0, 200.0, 20.0, seed=seed, duration=4.0)
+    _, _, XY, _, V = generate_grid(600.0, 400.0, 200.0, 20.0, seed=seed, duration=4.0)
+    X, Y = XY[..., 0], XY[..., 1]
     assert X.min() >= -1e-6 and X.max() <= 600.0 + 1e-6
     assert Y.min() >= -1e-6 and Y.max() <= 400.0 + 1e-6
     assert V.min() > 0.0
@@ -162,9 +165,10 @@ def test_generated_positions_stay_on_the_map(seed):
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_random_trips_stay_on_streets_within_their_speed_band(seed):
     block, speed_limit = 100.0, 14.0
-    _, ids, X, Y, V = generate_grid(500.0, 300.0, block, 40.0, seed=seed,
-                                    duration=30.0, speed_limit=speed_limit,
-                                    pedestrian_count=10)
+    _, ids, XY, _, V = generate_grid(500.0, 300.0, block, 40.0, seed=seed,
+                                     duration=30.0, speed_limit=speed_limit,
+                                     pedestrian_count=10)
+    X, Y = XY[..., 0], XY[..., 1]
     # every sample lies on a street: a multiple of the block size in x or y
     off_x = np.abs(X - np.round(X / block) * block)
     off_y = np.abs(Y - np.round(Y / block) * block)

@@ -99,11 +99,16 @@ class PositionTable:
         k, _ = self._bracket(t)
         return float(self.V[k, i])
 
-    def velocity(self, nid: str, t: float) -> tuple[float, float]:
+    def motion(self, nid: str, t: float) -> tuple[tuple[float, float], float,
+                                                  tuple[float, float]]:
+        """(pos, speed, velocity) of one node from one bracket and one index
+        lookup; each equals what pos and speed give alone."""
         i = self.index[nid]
-        k, _ = self._bracket(t)
+        k, frac = self._bracket(t)
+        x, y = self.XY[k, i].tolist()
         dx, dy = self.DXY[k, i].tolist()
-        return (dx / MOBILITY_DT, dy / MOBILITY_DT)
+        return ((x + frac * dx, y + frac * dy), float(self.V[k, i]),
+                (dx / MOBILITY_DT, dy / MOBILITY_DT))
 
 
 class Run:
@@ -177,6 +182,7 @@ class Run:
         finished run into a reference cycle that only the cyclic GC frees."""
         self.sim.run_until(self.cfg.duration)
         self.sim.clear()
+        self.ledger.collisions = self.channel.collision_events
 
     def next_msg_id(self, prefix: str) -> str:
         self.msg_counter += 1
@@ -212,7 +218,6 @@ class Run:
 
         def resolve(_event: SimEvent) -> None:
             delivered, _collided = self.channel.resolve(tx)
-            self.ledger.collisions = self.channel.collision_events
             received = self.channel.mac_survivors(
                 delivered, [self.nodes[r].mac_loss for r in delivered])
             on_delivery(received, msg, tx.end, tx.pos)
@@ -223,29 +228,23 @@ class Run:
         return self.channel.busy_ratio(nid, self.sim.now)
 
     def make_hello(self, node: Node, now: float) -> Message:
-        pos = self.positions.pos(node.id, now)
-        return Message(self.next_msg_id("h"), "hello", pos, now, HELLO_SIZE, 1,
-                       payload=self.hello_payload(node, now, pos))
-
-    def hello_payload(self, node: Node, now: float, pos: tuple[float, float]) -> dict:
-        if node.static_pos is not None:
-            speed, heading = 0.0, (0.0, 0.0)
-        else:
-            speed = self.positions.speed(node.id, now)
-            heading = rt.heading_of(self.positions.velocity(node.id, now))
+        # static nodes (origin, RSUs) have zero speed and velocity columns
+        pos, speed, velocity = self.positions.motion(node.id, now)
         # NeighborEntry.fresh, inlined
         timeout = self.neighbor_timeout
         fresh = sum(1 for e in node.neighbors.values() if now - e.last_heard <= timeout)
         range_km2 = math.pi * (self.cfg.radio.r_max / 1000.0) ** 2
         busy = self.busy(node.id)
-        return {
+        payload = {
             "position": pos,
             "speed": speed,
-            "heading": heading,
+            "heading": rt.heading_of(velocity),
             "density": fresh / range_km2 if range_km2 > 0 else 0.0,
             "abe": abe_estimate(busy, self.cfg.radio.bitrate),
             "mac_loss": node.mac_loss,
         }
+        return Message(self.next_msg_id("h"), "hello", pos, now, HELLO_SIZE, 1,
+                       payload=payload)
 
     def on_hello(self, receivers: list[str], msg: Message, t: float,
                  sender: str) -> None:
@@ -570,6 +569,11 @@ class RoutingRun(Run):
         super().__init__(cfg, density, protocol, seed)
         self.vehicle_ids = sorted(n for n, node in self.nodes.items()
                                   if node.kind == "vehicle")
+        # 3mrp-dsw: vehicle id -> the neighbor tables its beacons noted since
+        # its weights were last brought up to date, as (beacon time, fresh
+        # entries in id order); dsw_weights replays them when a forwarder
+        # reads the weights
+        self.dsw_pending: dict[str, list[tuple[float, list[rt.NeighborEntry]]]] = {}
 
     def execute(self) -> MetricsLedger:
         cfg = self.cfg
@@ -595,20 +599,31 @@ class RoutingRun(Run):
         return self.ledger
 
     def on_beacon_tick(self, node: Node, now: float) -> None:
-        """DSW: refresh the vehicle's metric weights from its neighbor table."""
+        """DSW: note the vehicle's neighbor table for dsw_weights.  The
+        entries are frozen and shared, so a list of them is a snapshot."""
         if self.protocol == "3mrp-dsw" and node.kind == "vehicle":
+            # also drops the stale entries from the table
             fresh = self.fresh_neighbors(node, now)
             if len(fresh) >= 2:
-                pos = self.positions.pos(node.id, now)
-                dest = self.closest_rsu_pos(pos)
-                snaps = [rt.normalize_metrics(e, pos, dest,
-                                              bitrate=self.cfg.radio.bitrate,
-                                              density_ref=self.cfg.routing.density_ref)
-                         for _nid, e in sorted(fresh.items())]
-                node.weights = rt.dsw_update(snaps, node.weights,
-                                             self.cfg.routing.dsw_lambda)
+                self.dsw_pending.setdefault(node.id, []).append(
+                    (now, [fresh[nid] for nid in sorted(fresh)]))
             else:
+                # dsw_update would return equal weights whatever came before
                 node.weights = rt.equal_weights(self.cfg.routing.w_floor)
+                self.dsw_pending.pop(node.id, None)
+
+    def dsw_weights(self, node: Node) -> rt.MetricWeights:
+        """The vehicle's DSW weights: replay its noted neighbor tables in beacon
+        order, each scored from where the vehicle was at that beacon."""
+        routing = self.cfg.routing
+        for now, entries in self.dsw_pending.pop(node.id, ()):
+            pos = self.positions.pos(node.id, now)
+            dest = self.closest_rsu_pos(pos)
+            snaps = [rt.normalize_metrics(e, pos, dest, bitrate=self.cfg.radio.bitrate,
+                                          density_ref=routing.density_ref)
+                     for e in entries]
+            node.weights = rt.dsw_update(snaps, node.weights, routing.dsw_lambda)
+        return node.weights
 
     def closest_rsu_pos(self, p: tuple[float, float]) -> tuple[float, float]:
         best, best_d = None, float("inf")
@@ -669,7 +684,7 @@ class RoutingRun(Run):
                           if math.hypot(e.position[0] - dest[0],
                                         e.position[1] - dest[1]) < d_cur}
                 if closer:
-                    w = node.weights if self.protocol == "3mrp-dsw" \
+                    w = self.dsw_weights(node) if self.protocol == "3mrp-dsw" \
                         else rt.equal_weights(self.cfg.routing.w_floor)
                     scores = {}
                     for nid, e in closer.items():

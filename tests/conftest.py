@@ -28,6 +28,12 @@ TINY_SCENARIO = {
     "rings": [300.0, 600.0, 1200.0],
 }
 
+# The tiny scenario with the warning sent from 0 s, before the first hellos
+# have filled the neighbor tables: add-vod receivers with no fresh neighbor
+# store the frame and relay it on the next hello they hear.
+SCF_SCENARIO = dict(TINY_SCENARIO, protocols=["add-vod"], seeds=[0],
+                    warning=dict(TINY_SCENARIO["warning"], start_time=0.0))
+
 
 @pytest.fixture
 def tiny_cfg():

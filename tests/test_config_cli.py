@@ -15,7 +15,7 @@ from vanetsim.config import (ConfigError, expand_protocol, list_presets,
 from vanetsim.engine import build_run, execute_run
 from vanetsim.report import run_metrics
 
-from conftest import TINY_SCENARIO
+from conftest import SCF_SCENARIO, TINY_SCENARIO
 
 
 # --- scenario parsing and validation ----------------------------------------
@@ -299,6 +299,22 @@ def test_cli_results_match_the_pinned_digest_per_protocol(tmp_path, label):
     assert cli.main(["run", str(path), "--out", str(out)]) == 0
     digest = hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
     assert digest == PINNED_PROTOCOL_SHA256[label]
+
+
+# sha256 of results.csv for SCF_SCENARIO, the one run that reaches the
+# store-carry-forward path (stored frames relayed on a later hello).
+PINNED_SCF_SHA256 = "d6c949807765d3a9f018998b1d68fbd0147088fa11ca04d6e5b403aec18be289"
+
+
+def test_cli_results_match_the_pinned_digest_on_the_scf_path(tmp_path):
+    import yaml
+
+    path = tmp_path / "scf.yaml"
+    path.write_text(yaml.safe_dump(SCF_SCENARIO), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
+    assert digest == PINNED_SCF_SHA256
 
 
 def test_cli_seed_override_limits_the_sweep(tmp_path, tiny_yaml):

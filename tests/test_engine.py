@@ -1,5 +1,6 @@
-"""Engine fast paths against the plain per-axis and per-receiver code they
-replace: position lookup, shared neighbor entries and hello-driven relays."""
+"""Engine fast paths against the plain per-axis, per-receiver and per-beacon
+code they replace: position lookup, shared neighbor entries, hello-driven
+relays and DSW weights evaluated on read."""
 
 from __future__ import annotations
 
@@ -11,11 +12,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vanetsim import routing as rt
-from vanetsim.config import scenario_from_dict
-from vanetsim.engine import DisseminationRun, PositionTable, build_run
+from vanetsim.config import resolve_scenario, scenario_from_dict
+from vanetsim.engine import DisseminationRun, PositionTable, RoutingRun, build_run
 from vanetsim.roadnet import MOBILITY_DT
 
-from conftest import TINY_SCENARIO
+from conftest import SCF_SCENARIO, TINY_SCENARIO
 
 
 class PerAxisPositions:
@@ -89,8 +90,11 @@ def test_position_lookup_equals_the_per_axis_formulas_bit_for_bit(
         assert bits(coords) == bits(plain.coords_at(t))
         for nid in fast.ids:
             assert bits(fast.pos(nid, t)) == bits(plain.pos(nid, t))
-            assert bits(fast.velocity(nid, t)) == bits(plain.velocity(nid, t))
             assert fast.speed(nid, t) == plain.speed(nid, t)
+            pos, speed, velocity = fast.motion(nid, t)
+            assert bits(pos) == bits(plain.pos(nid, t))
+            assert bits(speed) == bits(plain.speed(nid, t))
+            assert bits(velocity) == bits(plain.velocity(nid, t))
 
 
 def test_mobile_only_tables_are_shared_not_copied():
@@ -103,6 +107,8 @@ def test_mobile_only_tables_are_shared_not_copied():
     assert with_origin.ids == ids + ["origin"]
     assert with_origin.pos("origin", 0.7) == (5.0, 6.0)
     assert with_origin.speed("origin", 0.7) == 0.0
+    # a static node's hello carries zero speed and no heading
+    assert with_origin.motion("origin", 0.7) == ((5.0, 6.0), 0.0, (0.0, 0.0))
 
 
 def tiny_run(protocol: str, seed: int = 0):
@@ -244,3 +250,130 @@ def test_nsf_runs_relay_as_under_the_per_receiver_code():
         assert fast_ledger == plain_ledger
         relays += len(fast)
     assert relays > 0
+
+
+def test_a_whole_run_stores_frames_and_relays_them_on_a_hello():
+    run = build_run(scenario_from_dict(dict(SCF_SCENARIO)), 30.0, "add-vod", 0)
+    on_hello, relay_now = run.on_hello, run.relay_now
+    hearing, hello_relays = [], []
+
+    def recorded_hello(*args):
+        hearing.append(args)
+        on_hello(*args)
+        hearing.pop()
+
+    def recorded_relay(node, msg_id):
+        if hearing:
+            hello_relays.append((node.id, msg_id))
+        relay_now(node, msg_id)
+
+    run.on_hello, run.relay_now = recorded_hello, recorded_relay
+    ledger = run.execute()
+    # add-vod holds nothing for NSF, so every relay a hello makes is SCF
+    assert ledger.scf_stores > 0
+    assert hello_relays and not run.pending_nsf
+
+
+class EagerDsw(RoutingRun):
+    """DSW weights as they were: brought up to date at every vehicle beacon,
+    read as they stand."""
+
+    def on_beacon_tick(self, node, now):
+        if self.protocol == "3mrp-dsw" and node.kind == "vehicle":
+            fresh = self.fresh_neighbors(node, now)
+            if len(fresh) >= 2:
+                pos = self.positions.pos(node.id, now)
+                dest = self.closest_rsu_pos(pos)
+                snaps = [rt.normalize_metrics(e, pos, dest,
+                                              bitrate=self.cfg.radio.bitrate,
+                                              density_ref=self.cfg.routing.density_ref)
+                         for _nid, e in sorted(fresh.items())]
+                node.weights = rt.dsw_update(snaps, node.weights,
+                                             self.cfg.routing.dsw_lambda)
+            else:
+                node.weights = rt.equal_weights(self.cfg.routing.w_floor)
+
+    def dsw_weights(self, node):
+        return node.weights
+
+
+def neighbor_table(seed, n_fresh, n_stale, now, timeout, ids):
+    """n_fresh entries heard within the timeout and n_stale heard before it,
+    with advertised state spread over the tiny scenario's ranges."""
+    rng = np.random.default_rng(seed)
+    table = {}
+    for k, nid in enumerate(ids[:n_fresh + n_stale]):
+        angle = rng.uniform(0.0, 2.0 * np.pi)
+        heard = now - rng.uniform(0.0, timeout) if k < n_fresh \
+            else now - timeout - rng.uniform(0.01, 2.0)
+        table[nid] = rt.NeighborEntry(
+            nid, tuple(rng.uniform(0.0, 800.0, 2).tolist()), float(rng.uniform(0.0, 14.0)),
+            (float(np.cos(angle)), float(np.sin(angle))), float(rng.uniform(0.0, 200.0)),
+            float(rng.uniform(0.0, 6.0e6)), float(rng.uniform(0.0, 0.25)), heard)
+    return table
+
+
+beacon_or_read = st.one_of(
+    st.tuples(st.just("beacon"), st.floats(min_value=0.05, max_value=1.5),
+              st.integers(min_value=0, max_value=2**32 - 1),
+              st.integers(min_value=0, max_value=6),  # fresh entries: < 2 resets
+              st.integers(min_value=0, max_value=3)),  # stale entries
+    st.just(("read",)))
+
+
+@given(history=st.lists(beacon_or_read, min_size=1, max_size=25),
+       vehicle=st.integers(min_value=0, max_value=9))
+def test_weights_read_equal_the_weights_updated_at_every_beacon(history, vehicle):
+    cfg = scenario_from_dict(dict(TINY_SCENARIO))
+    runs = [build_run(cfg, 30.0, "3mrp-dsw", 0), EagerDsw(cfg, 30.0, "3mrp-dsw", 0)]
+    reads = []
+    for run in runs:
+        node = run.nodes[run.vehicle_ids[vehicle]]
+        others = [nid for nid in run.vehicle_ids if nid != node.id]
+        t, seen = 0.5, []
+        for op in history + [("read",)]:
+            if op[0] == "beacon":
+                _, dt, seed, n_fresh, n_stale = op
+                t += dt
+                node.neighbors = neighbor_table(seed, n_fresh, n_stale, t,
+                                                run.neighbor_timeout, others)
+                run.on_beacon_tick(node, t)
+                assert len(node.neighbors) == n_fresh  # stale entries dropped
+            else:
+                seen.append(bits(run.dsw_weights(node).as_tuple()))
+        reads.append(seen)
+    assert reads[0] == reads[1]
+
+
+def weight_reads(run):
+    """Execute run, recording the DSW weights at every read."""
+    reads = []
+    dsw_weights = run.dsw_weights
+
+    def recorded(node):
+        w = dsw_weights(node)
+        reads.append((run.sim.now, node.id, bits(w.as_tuple())))
+        return w
+
+    run.dsw_weights = recorded
+    ledger = run.execute()
+    return reads, ledger
+
+
+@pytest.mark.parametrize("scenario", ["tiny", "leganes-routing"])
+def test_dsw_runs_read_the_weights_the_per_beacon_code_held(scenario):
+    if scenario == "tiny":
+        cfg, densities, seeds = scenario_from_dict(dict(TINY_SCENARIO)), [30.0], [0, 1]
+    else:
+        # the preset cut short: beacons from 0 s, video packets from 5 s
+        cfg = dataclasses.replace(resolve_scenario(scenario), duration=8.0)
+        densities, seeds = cfg.densities, [0]
+    total = 0
+    for density in densities:
+        for seed in seeds:
+            lazy, lazy_ledger = weight_reads(build_run(cfg, density, "3mrp-dsw", seed))
+            eager, eager_ledger = weight_reads(EagerDsw(cfg, density, "3mrp-dsw", seed))
+            assert lazy == eager
+            assert lazy_ledger == eager_ledger
+            total += len(lazy)
+    assert total > 0
